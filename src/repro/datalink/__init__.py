@@ -10,7 +10,8 @@ physical channels into one reliable FIFO message pipe, satisfying:
 This package contains:
 
 * :mod:`repro.datalink.spec` -- (DL1)/(DL2)/(DL3) and (PL1) as
-  machine-checkable predicates over recorded executions;
+  machine-checkable predicates over recorded executions, and the
+  online monitor deciding the safety ones during a run;
 * :mod:`repro.datalink.stations` -- the sender/receiver station
   automaton API protocols implement;
 * :mod:`repro.datalink.system` -- the composition/simulation engine;
@@ -52,8 +53,10 @@ from repro.datalink.window import (
     make_window_protocol,
 )
 from repro.datalink.spec import (
+    SpecMonitorSink,
     SpecReport,
     SpecViolation,
+    SpecViolationHalt,
     check_dl1,
     check_dl1_dl2,
     check_liveness,
@@ -83,8 +86,10 @@ __all__ = [
     "SenderStation",
     "SequenceReceiver",
     "SequenceSender",
+    "SpecMonitorSink",
     "SpecReport",
     "SpecViolation",
+    "SpecViolationHalt",
     "check_dl1",
     "check_dl1_dl2",
     "check_execution",

@@ -31,21 +31,35 @@ also be order-preserving across *all* messages, so the greedy cursor is
 global: each receive must match a send strictly later than the previous
 receive's send, again earliest-first.
 
-Trace modes.  Every checker walks the event list, so the execution must
-have been recorded under ``TraceMode.FULL`` (the default); handing a
-counters-only (``TraceMode.COUNTS``) execution to a checker raises
-:class:`~repro.ioa.execution.TraceElidedError` -- bulk sweeps that
-elide traces give up spec-checkability by construction, which is why
-the elision is opt-in per system.
+Online monitoring.  (PL1), (DL1) and (DL2) are safety properties: a
+violation shows in a finite prefix, so one pass over the events decides
+them and may stop at the first bad event.  :class:`SpecMonitorSink` is
+that pass, as an :class:`~repro.ioa.sinks.ExecutionSink` riding on the
+run itself: O(1) amortised work per event, and a :meth:`report
+<SpecMonitorSink.report>` equal to :func:`check_execution`'s on the
+same events.  Built with ``stop_on_violation=True`` it raises
+:class:`SpecViolationHalt` at the first violating event, which
+:meth:`DataLinkSystem.run <repro.datalink.system.DataLinkSystem.run>`
+turns into an early, ``completed=False`` return.  The post-hoc
+checkers stay as the oracle the monitor is tested against.
+
+Trace modes.  The post-hoc checkers walk the event list, so the
+execution must have been recorded under ``TraceMode.FULL`` (the
+default); handing a counters-only (``TraceMode.COUNTS``) execution to
+one raises :class:`~repro.ioa.execution.TraceElidedError`.  The monitor
+needs no event list: attach it through ``sinks=`` and it decides the
+same properties under ``TraceMode.COUNTS``.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Deque, Dict, Hashable, List, Optional, Set
 
 from repro.ioa.actions import ActionType, Direction
 from repro.ioa.execution import Execution
+from repro.ioa.sinks import ExecutionSink
 
 
 @dataclass(frozen=True)
@@ -56,7 +70,7 @@ class SpecViolation:
     event_index: int
     description: str
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return (
             f"{self.property_name} violated at event "
             f"{self.event_index}: {self.description}"
@@ -188,13 +202,8 @@ def check_dl1_dl2(execution: Execution) -> Optional[SpecViolation]:
                     f"receive_msg({action.message!r}) cannot be matched "
                     "order-preservingly to a preceding send_msg",
                 )
-            if match != cursor:
-                # An earlier send was skipped over: its message can now
-                # never be delivered without breaking FIFO order.  That
-                # is already a (DL2)-fatal state for any continuation
-                # that delivers it, but not itself a violation; we only
-                # advance past it.  Record nothing, keep matching.
-                pass
+            # Sends skipped over can never be delivered in order any
+            # more; that is not itself a violation, so just advance.
             cursor = match + 1
     return None
 
@@ -241,3 +250,219 @@ def check_execution(
         report.violations.append(violation)
     report.pending_messages = check_liveness(execution)
     return report
+
+
+# ----------------------------------------------------------------------
+# online monitor
+# ----------------------------------------------------------------------
+class SpecViolationHalt(Exception):
+    """Raised by a stopping :class:`SpecMonitorSink` at the violating
+    event; :meth:`DataLinkSystem.run
+    <repro.datalink.system.DataLinkSystem.run>` catches it and returns
+    early."""
+
+    def __init__(self, violation: SpecViolation) -> None:
+        super().__init__(str(violation))
+        self.violation = violation
+
+
+#: Value of a live copy that was in transit before the recording
+#: started: it has no recorded send, hence no value to compare against.
+_UNSENT = object()
+_MISSING = object()
+
+
+class _ChannelMonitor:
+    """(PL1) state of one direction, mirroring :func:`check_pl1`.
+
+    ``live`` maps each in-transit copy id to its sent value;
+    ``retired`` holds the ids that were sent *and* received, which a
+    later send or receive of the same id violates.  A received
+    ``initial_transit`` copy is not retired: it was never sent inside
+    the recording, so the post-hoc checker lets its id be sent afresh.
+    """
+
+    __slots__ = ("live", "retired", "violation")
+
+    def __init__(self, initial_transit: Optional[Set[int]]) -> None:
+        self.live: Dict[int, object] = dict.fromkeys(
+            initial_transit or (), _UNSENT
+        )
+        self.retired: Set[int] = set()
+        self.violation: Optional[SpecViolation] = None
+
+    def send(
+        self, packet: Hashable, copy_id: int, index: int
+    ) -> Optional[SpecViolation]:
+        if copy_id in self.live or copy_id in self.retired:
+            return SpecViolation(
+                "PL1", index, f"copy #{copy_id} sent twice"
+            )
+        self.live[copy_id] = packet
+        return None
+
+    def receive(
+        self, packet: Hashable, copy_id: int, index: int
+    ) -> Optional[SpecViolation]:
+        expected = self.live.pop(copy_id, _MISSING)
+        if expected is _MISSING:
+            return SpecViolation(
+                "PL1",
+                index,
+                f"copy #{copy_id} received without a live "
+                "preceding send (forgery or duplication)",
+            )
+        if expected is _UNSENT:
+            return None
+        self.retired.add(copy_id)
+        if expected != packet:
+            return SpecViolation(
+                "PL1",
+                index,
+                f"copy #{copy_id} delivered with value "
+                f"{packet!r}, sent as {expected!r} (corruption)",
+            )
+        return None
+
+
+class SpecMonitorSink(ExecutionSink):
+    """Online (PL1), (DL1) and (DL1)+(DL2) monitor.
+
+    Decides, event by event, what :func:`check_execution` decides after
+    the fact, with O(1) amortised work per event and no event list, so
+    it works under ``TraceMode.COUNTS``.  :meth:`report` equals
+    ``check_execution(execution, initial_transit_t2r,
+    initial_transit_r2t)`` over the events seen so far: the same
+    violations in the same order, and the same ``pending_messages``.
+
+    The state per property:
+
+    * (PL1), per direction: the live copies with their sent values, and
+      the ids already sent and received;
+    * (DL1): the count of unmatched sends per payload -- greedy
+      earliest-first matching only ever asks whether one exists;
+    * (DL1)+(DL2): the sends after the order-preserving cursor, a queue
+      popped up to each receive's match.
+
+    Like the post-hoc checkers, each property records only its first
+    violation and is then no longer tracked.
+
+    Args:
+        initial_transit_t2r: copy ids in transit on ``t->r`` before the
+            recording started (see :func:`check_pl1`).
+        initial_transit_r2t: the same for ``r->t``.
+        stop_on_violation: raise :class:`SpecViolationHalt` at the first
+            violating event, so the run stops there; :meth:`report` then
+            holds that single violation.
+    """
+
+    __slots__ = (
+        "stop_on_violation",
+        "_t2r",
+        "_r2t",
+        "_unmatched",
+        "_in_order",
+        "_dl1",
+        "_dl2",
+        "_sent_messages",
+        "_received_messages",
+    )
+
+    def __init__(
+        self,
+        initial_transit_t2r: Optional[Set[int]] = None,
+        initial_transit_r2t: Optional[Set[int]] = None,
+        stop_on_violation: bool = False,
+    ) -> None:
+        self.stop_on_violation = stop_on_violation
+        self._t2r = _ChannelMonitor(initial_transit_t2r)
+        self._r2t = _ChannelMonitor(initial_transit_r2t)
+        self._unmatched: Dict[Hashable, int] = {}
+        self._in_order: Deque[Hashable] = deque()
+        self._dl1: Optional[SpecViolation] = None
+        self._dl2: Optional[SpecViolation] = None
+        self._sent_messages = 0
+        self._received_messages = 0
+
+    def _halt(self, violation: SpecViolation) -> None:
+        """Called once a violation is recorded: stop the run if asked."""
+        if self.stop_on_violation:
+            raise SpecViolationHalt(violation)
+
+    def on_send_pkt(
+        self,
+        direction: Direction,
+        packet: Hashable,
+        copy_id: Optional[int],
+        index: int,
+    ) -> None:
+        channel = self._t2r if direction is Direction.T2R else self._r2t
+        if copy_id is None or channel.violation is not None:
+            return
+        violation = channel.send(packet, copy_id, index)
+        if violation is not None:
+            channel.violation = violation
+            self._halt(violation)
+
+    def on_receive_pkt(
+        self,
+        direction: Direction,
+        packet: Hashable,
+        copy_id: Optional[int],
+        index: int,
+    ) -> None:
+        channel = self._t2r if direction is Direction.T2R else self._r2t
+        if copy_id is None or channel.violation is not None:
+            return
+        violation = channel.receive(packet, copy_id, index)
+        if violation is not None:
+            channel.violation = violation
+            self._halt(violation)
+
+    def on_send_msg(self, message: Hashable, index: int) -> None:
+        self._sent_messages += 1
+        if self._dl1 is None:
+            unmatched = self._unmatched
+            unmatched[message] = unmatched.get(message, 0) + 1
+        if self._dl2 is None:
+            self._in_order.append(message)
+
+    def on_receive_msg(self, message: Hashable, index: int) -> None:
+        self._received_messages += 1
+        if self._dl1 is None:
+            unmatched = self._unmatched.get(message)
+            if unmatched:
+                self._unmatched[message] = unmatched - 1
+            else:
+                self._dl1 = SpecViolation(
+                    "DL1",
+                    index,
+                    f"receive_msg({message!r}) has no unmatched "
+                    "preceding send_msg (forged or duplicated delivery)",
+                )
+                self._halt(self._dl1)
+        if self._dl2 is None:
+            in_order = self._in_order
+            while in_order:
+                if in_order.popleft() == message:
+                    return
+            self._dl2 = SpecViolation(
+                "DL1/DL2",
+                index,
+                f"receive_msg({message!r}) cannot be matched "
+                "order-preservingly to a preceding send_msg",
+            )
+            self._halt(self._dl2)
+
+    def report(self) -> SpecReport:
+        """The verdict over the events seen so far."""
+        found = (
+            self._t2r.violation,
+            self._r2t.violation,
+            self._dl1,
+            self._dl2,
+        )
+        return SpecReport(
+            violations=[v for v in found if v is not None],
+            pending_messages=self._sent_messages - self._received_messages,
+        )

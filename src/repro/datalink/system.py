@@ -41,6 +41,7 @@ from repro.channels.base import Channel, ChannelOracle
 from repro.channels.nonfifo import NonFifoChannel
 from repro.channels.packets import TransitCopy
 from repro.channels.probabilistic import ProbabilisticChannel, TricklePolicy
+from repro.datalink.spec import SpecViolationHalt
 from repro.datalink.stations import NO_OUTPUT, ReceiverStation, SenderStation
 from repro.ioa.actions import Direction
 from repro.ioa.execution import Execution, TraceMode
@@ -87,8 +88,10 @@ class DataLinkSystem:
         sender_burst: sender polls per step (how many transmissions the
             retransmission "timer" allows per scheduling round).
         trace_mode: how much of the execution to materialise.  The
-            default FULL keeps every event (required by the spec
-            checkers and the replay machinery); COUNTS keeps only the
+            default FULL keeps every event (required by the post-hoc
+            spec checkers and the replay machinery; the online
+            :class:`~repro.datalink.spec.SpecMonitorSink` needs no
+            events); COUNTS keeps only the
             Definition-2 counters, which is what bulk experiment sweeps
             need, at a fraction of the cost.
         sinks: extra :class:`~repro.ioa.sinks.ExecutionSink` objects
@@ -301,7 +304,10 @@ class DataLinkSystem:
         reports :meth:`~repro.datalink.stations.SenderStation.ready_for_message`
         (the one-outstanding-message regime the paper analyses).  The
         run stops when every message has been delivered or the step
-        budget is exhausted.
+        budget is exhausted -- or, with a stopping
+        :class:`~repro.datalink.spec.SpecMonitorSink` attached, at the
+        first specification violation (``completed`` is then False and
+        ``steps`` counts the rounds finished before the halted one).
         """
         pending = list(messages)
         goal = self.receiver.messages_delivered + len(pending)
@@ -319,21 +325,25 @@ class DataLinkSystem:
                 and self.sender.ready_for_message()
             )
 
-        while steps < max_steps:
-            if pending and self.sender.ready_for_message():
-                self.submit_message(pending.pop(0))
-                submitted += 1
-            if finished():
-                break
-            self.step()
-            steps += 1
+        halted = False
+        try:
+            while steps < max_steps:
+                if pending and self.sender.ready_for_message():
+                    self.submit_message(pending.pop(0))
+                    submitted += 1
+                if finished():
+                    break
+                self.step()
+                steps += 1
+        except SpecViolationHalt:
+            halted = True
         return DeliveryStats(
             submitted=submitted,
             delivered=len(messages) - (goal - self.receiver.messages_delivered),
             steps=steps,
             packets_t2r=self.execution.sp(Direction.T2R) - sp_t2r_before,
             packets_r2t=self.execution.sp(Direction.R2T) - sp_r2t_before,
-            completed=finished(),
+            completed=not halted and finished(),
         )
 
     # ------------------------------------------------------------------

@@ -38,10 +38,8 @@ from repro.campaign.spec import (
     CellGroup,
     SpecError,
 )
-from repro.campaign.version import CAMPAIGN_VERSION
 
 __all__ = [
-    "CAMPAIGN_VERSION",
     "CELL_ADVERSARY",
     "CELL_DELIVERY",
     "CELL_EXPERIMENT",

@@ -1,5 +1,5 @@
-"""repro.checker -- a bounded model checker over the sharded
-exploration engine.
+"""repro.checker -- a bounded model checker, and the home of the
+level-synchronous BFS engine that state-space exploration also runs.
 
 Public surface:
 

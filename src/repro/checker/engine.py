@@ -1,16 +1,45 @@
-"""The bounded model checker over the sharded exploration engine.
+"""The level-synchronous BFS engine: one search for counting and checking.
 
-:func:`check_protocol` turns the level-synchronous sharded BFS of
-:mod:`repro.ioa.exploration_parallel` into a query engine: every newly
-adopted frontier is scanned, shard-locally, against a
-:class:`~repro.checker.properties.Property`, and the search stops at
-the first level barrier with a hit -- an invariant violation or a
-reachability target.  Because BFS levels are a property of the
-protocol alone, the verdict, the stop level, the set of hit
-configurations and the canonically selected counterexample target are
+Theorem 2.1's state counts and Theorem 3.1's forgery hunt ask two
+questions of the same breadth-first search over abstract
+configurations (station states plus a set abstraction of each
+channel), and this module holds that search once.
+:func:`check_protocol` runs it with a
+:class:`~repro.checker.properties.Property`: every newly adopted
+frontier is scanned, shard-locally, and the search stops at the first
+level barrier with a hit -- an invariant violation or a reachability
+target.  :func:`repro.ioa.exploration.explore_station_states` and
+:func:`repro.ioa.exploration_parallel.explore_station_states_parallel`
+run it with no property, no capacity, no delivered counter and no
+parents, and read the state counts off the shards' finish reports:
+exploration is a check whose property never fires.
+
+The engine has three parts, each with an interpreted and a vector
+(:mod:`repro.ioa.vecfrontier`) tier:
+
+* :class:`_CheckerShard` owns one hash-partition of the configuration
+  space (the partition and the content digests are described in
+  :mod:`repro.ioa.exploration_parallel`) and answers the coordinator's
+  requests: ``adopt`` (fold routed configurations into the frontier,
+  dedup, scan), ``expand`` (one level; foreign successors are returned
+  for routing), ``snapshot``/``restore``, ``resolve`` (parent lookup)
+  and ``finish``;
+* :func:`_run_search` is the coordinator: one adopt/expand round per
+  level across all shards, checkpoints at level barriers;
+* with one in-process shard and no parent tracking there is nothing to
+  synchronise, so the coordinator hands the search to the shard's own
+  level loop (:meth:`_CheckerShard.run_levels_check`), which runs every
+  barrier -- scan, budget, checkpoint cadence, hit stop -- at exactly
+  the coordinator's level boundaries.
+
+Because BFS levels are a property of the protocol alone, the verdict,
+the stop level, the set of hit configurations, the canonically
+selected counterexample target and the explored state sets are
 **identical for any shard count, any backend, any visited-set store,
-and across checkpoint resume** -- the same exactness argument as the
-state-counting engine, extended to verdicts.
+either tier, and across checkpoint resume**.  Budget truncation happens
+at level barriers; the serial exploration entry point alone asks the
+single-shard loop to cut in the middle of the last level
+(``exact_cut``), which reproduces a FIFO queue's truncation exactly.
 
 The bounding discipline is the paper's (and the CFSM literature's):
 ``max_messages`` bounds environment injections per path, ``capacity``
@@ -23,7 +52,12 @@ field -- saturating at ``max_messages + 1`` -- only when the active
 property declares ``needs_delivered`` (the Theorem 3.1 forgery
 condition reads it); saturation keeps the space finite and still
 witnesses every true excess, because injections never exceed
-``max_messages``.
+``max_messages``.  None of these extras costs a search that does not
+use them: deliveries are counted only when the delivered field exists
+(it then joins the delivery memo's key, so the loop adds one delta per
+successor either way), the capacity test runs only on new successors
+and only when a capacity is set, and with no property there is no
+scan.
 
 Counterexample path reconstruction records, per newly discovered
 configuration, a **canonical parent pointer**: among every proposal
@@ -42,35 +76,38 @@ plain-BFS cost.  The path is then re-executed through the faithful
 from __future__ import annotations
 
 import functools
+import hashlib
 import os
 import pickle
 import time
+from collections import deque
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
+from repro.ioa import vecfrontier
+from repro.ioa.actions import Direction
 from repro.ioa.automaton import IOAutomaton
 from repro.ioa.exploration import (
     _FIELD_BITS,
     _FIELD_MASK,
     _MISSING,
+    _PAIR_MASK,
     _S_INJ,
     _S_R2T,
     _S_RID,
     _S_T2R,
     ExplorationCapacityError,
+    ExplorationResult,
 )
-from repro.ioa import vecfrontier
 from repro.ioa.exploration_parallel import (
     _DIGEST_MOD,
-    _ExplorationShard,
     _ShardSearch,
     _canon,
-    _engine_tier_salt,
-    _kernel_version,
     _load_checkpoint,
     _merge_frontier_perf,
     _save_checkpoint,
     _stable_digest,
     checkpoint_path,
+    merge_finishes,
     resolve_engine_tier,
 )
 from repro.checker.properties import _S_DEL, BindContext, Property, make_property
@@ -89,6 +126,14 @@ CHECKER_CHECKPOINT_FORMAT = "repro-checker-checkpoint/1"
 
 #: move-class codes used in parent ranks (coordinate with expand()).
 _MOVE_INJECT, _MOVE_OUTPUT, _MOVE_DELIVER, _MOVE_ACK = 0, 1, 2, 3
+
+#: Delivery-memo key of a configuration: ``(cfg & _CLEAR_INJ) >>
+#: _S_RID`` keeps the receiver id, both value sets and (when packed)
+#: the delivered count -- exactly what a delivery's successor depends
+#: on.
+_INJ_FIELD = _FIELD_MASK << _S_INJ
+_CLEAR_INJ = ~_INJ_FIELD
+_KEY_S_DEL = _S_DEL - _S_RID
 
 
 def portable_digest(portable: Tuple) -> int:
@@ -116,8 +161,8 @@ class _CheckerSearch(_ShardSearch):
 
     ``rcv_dcount[(rid, vid)]`` is the number of ``receive_msg`` outputs
     the memoised transition performs -- measured once per distinct
-    transition, alongside the existing memo, and folded into the
-    packed delivered field by :meth:`build_deliver_entries`.
+    transition, alongside the existing memo.  Used only when the
+    delivered field is packed (``del_cap > 0``).
     """
 
     __slots__ = ("rcv_dcount",)
@@ -147,90 +192,89 @@ class _CheckerSearch(_ShardSearch):
             )
         return memo
 
-    def build_deliver_entries(
-        self, rid: int, t2r: int, r2t: int
-    ) -> Tuple[Tuple[int, int, int], ...]:
-        """Like ``build_deliver_deltas`` but each entry carries the
-        transition's delivery count and delivered value id:
-        ``(packed delta, dcount, vid)``."""
-        entries = []
-        dcount_of = self.rcv_dcount
-        for vid in self.set_members[t2r]:
-            new_rid, emitted = self.receiver_after_rcv(rid, vid)
-            new_r2t = r2t
-            for emitted_id in emitted:
-                new_r2t = self.extend_set(new_r2t, emitted_id)
-            entries.append((
-                ((new_rid - rid) << _S_RID) + ((new_r2t - r2t) << _S_R2T),
-                dcount_of[(rid, vid)],
-                vid,
-            ))
-        return tuple(entries)
 
+class _CheckerShard:
+    """Owns one hash-partition of the configuration space.
 
-class _CheckerShard(_ExplorationShard):
-    """An exploration shard extended with property scans, parent
-    pointers, capacity pruning and an optional disk-backed seen-set.
-
-    New request ops (on top of the base protocol):
+    All mutable search state lives here -- in the child process under
+    the process backend, in the coordinator's process otherwise.  The
+    coordinator only ever talks to :meth:`handle`:
 
     * ``("adopt", inbound, level)`` -- inbound items are
       ``(portable, parent_meta)`` pairs; returns ``{"size", "hits"}``
       where hits are ``(digest, canonical)`` pairs for this level's
       property hits;
+    * ``("expand",)`` -- expand the frontier; returns the level size
+      and the successors owned by other shards;
+    * ``("snapshot",)`` / ``("restore", dump)`` -- checkpointing;
     * ``("resolve", digest)`` -- parent-pointer lookup for path
       reconstruction;
-    * ``("finish_check",)`` -- checker stats.
+    * ``("finish", states)`` -- counters, plus the visited state sets
+      and station pairs when ``states`` (exploration).
     """
 
     def __init__(self, index: int, num_shards: int, sender: IOAutomaton,
                  receiver: IOAutomaton, alphabet: List[Hashable],
                  max_messages: int, options: Dict[str, Any]) -> None:
-        super().__init__(index, num_shards, sender, receiver, alphabet,
-                         max_messages)
-        self.prop: Property = options["prop"]
+        self.index = index
+        self.num_shards = num_shards
+        self.max_messages = max_messages
+        self.prop: Optional[Property] = options.get("prop")
         self.track_parents = bool(options.get("track_parents"))
         self.del_cap = int(options.get("del_cap", 0))
         self.capacity: Optional[int] = options.get("capacity")
-        # Replace the plain shard search with the delivery-counting
-        # one; digest tables are needed for routing (multi-shard) and
-        # for parent digests (path reconstruction).
-        self.search = _CheckerSearch(
+        self.result = ExplorationResult(
+            packet_values={Direction.T2R: set(), Direction.R2T: set()}
+        )
+        # Digest tables are needed for routing (multi-shard) and for
+        # parent digests (path reconstruction); deliveries are counted
+        # only when the delivered field is packed.
+        search_class = _CheckerSearch if self.del_cap else _ShardSearch
+        self.search: Any = search_class(
             sender, receiver, list(alphabet), self.result,
             track_digests=(num_shards > 1 or self.track_parents),
         )
-        # The vector kernel (if any) must bind the *checker* search --
-        # the base constructor saw the plain shard search, which the
-        # line above just replaced.
+        # In vector mode the kernel owns the visited set (narrow
+        # packing) and the level work runs on its array kernels.
         self.engine = options.get("engine", "interpreted")
-        self.kernel = (
+        self.kernel: Any = (
             vecfrontier.FrontierKernel(
                 self.search, max_messages,
                 del_cap=self.del_cap, capacity=self.capacity,
             )
             if self.engine == "vector" else None
         )
-        self.ctx = BindContext(
-            self.search, max_messages, list(alphabet), self.del_cap,
-            kernel=self.kernel,
-        )
         # The scalar-protocol scan reads the context's packing layout,
         # so it works on narrow config lists too (adopt barriers and
         # narrow-mode levels); the array scan handles wide levels.
-        self.scan = self.prop.bind(self.ctx)
-        self.scan_vector = (
-            self.prop.bind_vector(self.ctx)
-            if self.kernel is not None else None
-        )
+        self.scan: Optional[Callable[[List[int]], List[int]]] = None
+        self.scan_vector: Optional[Callable[[Any], Any]] = None
+        if self.prop is not None:
+            ctx = BindContext(
+                self.search, max_messages, list(alphabet), self.del_cap,
+                kernel=self.kernel,
+            )
+            self.scan = self.prop.bind(ctx)
+            if self.kernel is not None:
+                self.scan_vector = self.prop.bind_vector(ctx)
+        self.seen: Any = set()
+        self.frontier: List[int] = []
+        self.pending: List[int] = []
+        self.visited_sids: set = set()
+        self.visited_rids: set = set()
+        self.visited = 0
+        self.dup_skipped = 0
+        self.forwarded = 0
+        self.pruned = 0
+        self.hits_found = 0
+        self.scanned = 0
+        self._reset_memos()
         # cfg -> (parent digest, move, arg rank, label), None for seed
         self.parents: Dict[int, Optional[Tuple]] = {}
         self.by_digest: Dict[int, int] = {}
         # Proposals for configurations discovered at the level in
         # flight; finalised (min rank wins) at the next adopt barrier.
         self.level_parents: Dict[int, Optional[Tuple]] = {}
-        self.pruned = 0
-        self.hits_found = 0
-        self.scanned = 0
         self.store_kind = options.get("store", "memory")
         self.store_dir: Optional[str] = options.get("store_dir")
         self.level_log: Optional[LevelLog] = None
@@ -239,6 +283,13 @@ class _CheckerShard(_ExplorationShard):
                 self._attach_vec_disk_store()
             else:
                 self._attach_disk_store(seed=None)
+
+    def _reset_memos(self) -> None:
+        # Per-move delta memos keyed on the fields each move reads.
+        self.inject_memo: Dict[int, Tuple[int, ...]] = {}
+        self.output_memo: Dict[int, Optional[int]] = {}
+        self.deliver_memo: Dict[int, Tuple[int, ...]] = {}
+        self.ack_memo: Dict[int, Tuple[int, ...]] = {}
 
     def _attach_disk_store(self, seed: Optional[Iterable[int]]) -> None:
         shard_dir = os.path.join(self.store_dir, f"shard-{self.index}")
@@ -268,11 +319,19 @@ class _CheckerShard(_ExplorationShard):
         op = request[0]
         if op == "adopt":
             return self.adopt(request[1], request[2])
+        if op == "expand":
+            if self.kernel is not None:
+                return vecfrontier.expand_vector(self)
+            return self.expand()
+        if op == "snapshot":
+            return self.snapshot()
+        if op == "restore":
+            return self.restore(request[1])
         if op == "resolve":
             return self.resolve(request[1])
-        if op == "finish_check":
-            return self.finish_check()
-        return super().handle(request)
+        if op == "finish":
+            return self.finish(request[1])
+        raise ValueError(f"unknown shard request {op!r}")
 
     # -- config plumbing -----------------------------------------------
     def _config_digest(self, cfg: int) -> int:
@@ -287,44 +346,23 @@ class _CheckerShard(_ExplorationShard):
         ) % _DIGEST_MOD
 
     def _portable(self, cfg: int) -> Tuple:
-        s = self.search
-        values = s.values
-        return (
-            s.sender_keys[cfg & _FIELD_MASK],
-            s.sender_snaps[cfg & _FIELD_MASK],
-            s.receiver_keys[(cfg >> _S_RID) & _FIELD_MASK],
-            s.receiver_snaps[(cfg >> _S_RID) & _FIELD_MASK],
-            tuple(values[v]
-                  for v in s.set_members[(cfg >> _S_T2R) & _FIELD_MASK]),
-            tuple(values[v]
-                  for v in s.set_members[(cfg >> _S_R2T) & _FIELD_MASK]),
+        return self.search.portable(
+            cfg & _FIELD_MASK,
+            (cfg >> _S_RID) & _FIELD_MASK,
+            (cfg >> _S_T2R) & _FIELD_MASK,
+            (cfg >> _S_R2T) & _FIELD_MASK,
             (cfg >> _S_INJ) & _FIELD_MASK,
             cfg >> _S_DEL,
         )
 
     def _intern_portable(self, portable: Tuple) -> int:
-        s = self.search
-        (skey, ssnap, rkey, rsnap, t2r_values, r2t_values,
-         injected, delivered) = portable
-        sid = s.sender_ids.get(skey)
-        if sid is None:
-            sid = s._guard(len(s.sender_keys))
-            s.sender_ids[skey] = sid
-            s.sender_keys.append(skey)
-            s.sender_snaps.append(None if s.sender_fast else ssnap)
-            s.on_new_sender(sid)
-        rid = s.receiver_ids.get(rkey)
-        if rid is None:
-            rid = s._guard(len(s.receiver_keys))
-            s.receiver_ids[rkey] = rid
-            s.receiver_keys.append(rkey)
-            s.receiver_snaps.append(None if s.receiver_fast else rsnap)
-            s.on_new_receiver(rid)
+        sid, rid, t2r, r2t, injected, delivered = \
+            self.search.intern_portable(portable)
         return (
             sid
             | (rid << _S_RID)
-            | (s.intern_value_set(t2r_values) << _S_T2R)
-            | (s.intern_value_set(r2t_values) << _S_R2T)
+            | (t2r << _S_T2R)
+            | (r2t << _S_R2T)
             | (injected << _S_INJ)
             | (delivered << _S_DEL)
         )
@@ -357,6 +395,51 @@ class _CheckerShard(_ExplorationShard):
         if self.search.track_digests:
             return self._config_digest(cfg)
         return portable_digest(self._portable(cfg))
+
+    def _scan(self, frontier: List[int]) -> List[Tuple[int, Tuple]]:
+        """Scan one adopted frontier; hit reports in scalar packing."""
+        if self.scan is None:
+            return []
+        self.scanned += len(frontier)
+        return self._reports(self.scan(frontier))
+
+    def _reports(self, hits: List[int]) -> List[Tuple[int, Tuple]]:
+        if not hits:
+            return []
+        self.hits_found += len(hits)
+        if self.kernel is not None:
+            hits = [self.kernel.to_scalar(cfg) for cfg in hits]
+        return [(self._hit_digest(cfg), self._canonical(cfg)) for cfg in hits]
+
+    def _over_capacity(self, cfg: int) -> bool:
+        members = self.search.set_members
+        capacity: Any = self.capacity  # callers test for None
+        return (
+            len(members[(cfg >> _S_T2R) & _FIELD_MASK]) > capacity
+            or len(members[(cfg >> _S_R2T) & _FIELD_MASK]) > capacity
+        )
+
+    def _build_deliver(self, key: int) -> Tuple[int, ...]:
+        """Deltas for delivering each t->r value to the receiver.
+
+        ``key`` is the delivery-memo key (see ``_CLEAR_INJ``); with a
+        packed delivered field each delta also moves the saturating
+        count, so the loops apply every delivery with one addition.
+        """
+        rid = key & _FIELD_MASK
+        t2r = (key >> _FIELD_BITS) & _FIELD_MASK
+        r2t = (key >> (2 * _FIELD_BITS)) & _FIELD_MASK
+        search = self.search
+        deltas = search.build_deliver_deltas(rid, t2r, r2t)
+        del_cap = self.del_cap
+        if not del_cap:
+            return deltas
+        d = key >> _KEY_S_DEL
+        dcount = search.rcv_dcount
+        return tuple(
+            delta + ((min(d + dcount[(rid, vid)], del_cap) - d) << _S_DEL)
+            for delta, vid in zip(deltas, search.set_members[t2r])
+        )
 
     # -- rounds --------------------------------------------------------
     def adopt(self, inbound: List[Tuple], level: int) -> Dict[str, Any]:
@@ -403,16 +486,7 @@ class _CheckerShard(_ExplorationShard):
             level_parents.clear()
         if self.level_log is not None:
             self.level_log.append(level, frontier)
-        self.scanned += len(frontier)
-        hits = self.scan(frontier)
-        if hits:
-            self.hits_found += len(hits)
-        return {
-            "size": len(frontier),
-            "hits": [
-                (self._hit_digest(cfg), self._canonical(cfg)) for cfg in hits
-            ],
-        }
+        return {"size": len(frontier), "hits": self._scan(frontier)}
 
     def _adopt_vector(self, inbound: List[Tuple], level: int
                       ) -> Dict[str, Any]:
@@ -425,16 +499,14 @@ class _CheckerShard(_ExplorationShard):
         the on-disk format are tier-invariant.
         """
         kernel = self.kernel
-        to_scalar = kernel.to_scalar
         frontier = self.pending
         self.pending = []
         seen = kernel.seen
         multi = self.num_shards > 1
-        num_shards = self.num_shards
         for portable, _meta in inbound:
             cfg = vecfrontier.intern_portable_narrow(self, portable)
-            if multi and self._config_digest(to_scalar(cfg)) % num_shards \
-                    != self.index:
+            if multi and self._config_digest(kernel.to_scalar(cfg)) \
+                    % self.num_shards != self.index:
                 # Not ours (initial seeding broadcasts to everyone).
                 continue
             if cfg in seen:
@@ -445,24 +517,12 @@ class _CheckerShard(_ExplorationShard):
         self.frontier = frontier
         if self.level_log is not None:
             self.level_log.append(level, kernel.to_scalar_list(frontier))
-        self.scanned += len(frontier)
-        hits = self.scan(frontier)
-        if hits:
-            self.hits_found += len(hits)
-        return {
-            "size": len(frontier),
-            "hits": [
-                (self._hit_digest(cfg), self._canonical(cfg))
-                for cfg in map(to_scalar, hits)
-            ],
-        }
+        return {"size": len(frontier), "hits": self._scan(frontier)}
 
     def expand(self) -> Dict[str, Any]:
-        """Expand the frontier; same kernel as the base shard, plus
-        capacity pruning, delivered-count folding and parent-pointer
-        proposals."""
-        if self.kernel is not None:
-            return vecfrontier.expand_vector(self, wrap_meta=True)
+        """Expand the frontier for one coordinator round: successors
+        this shard owns join its next frontier, the others are returned
+        for routing, each with its canonical parent proposal."""
         search = self.search
         seen = self.seen
         pending = self.pending
@@ -470,7 +530,6 @@ class _CheckerShard(_ExplorationShard):
         multi = num_shards > 1
         max_messages = self.max_messages
         mask = _FIELD_MASK
-        del_cap = self.del_cap
         capacity = self.capacity
         track = self.track_parents
         level_parents = self.level_parents
@@ -494,10 +553,7 @@ class _CheckerShard(_ExplorationShard):
 
         def route(successor: int, meta: Optional[Tuple]) -> None:
             nonlocal dup_skipped, forwarded, pruned
-            if capacity is not None and (
-                len(set_members[(successor >> _S_T2R) & mask]) > capacity
-                or len(set_members[(successor >> _S_R2T) & mask]) > capacity
-            ):
+            if capacity is not None and self._over_capacity(successor):
                 pruned += 1
                 return
             if multi:
@@ -535,9 +591,9 @@ class _CheckerShard(_ExplorationShard):
             mark_sid(sid)
             mark_rid(rid)
             pdigest = self._config_digest(cfg) if track else 0
-            # The four move classes, in the serial kernel's order.  The
-            # injection count must be masked here: the delivered field
-            # sits above it in the packing.
+            # The four move classes, always in this order.  The
+            # injection count is masked: the delivered field sits above
+            # it in the packing.
             if ((cfg >> _S_INJ) & mask) < max_messages:
                 deltas = inject_memo.get(sid)
                 if deltas is None:
@@ -563,22 +619,16 @@ class _CheckerShard(_ExplorationShard):
                     meta = None
                 route(cfg + delta, meta)
             if t2r:
-                key = rid | (t2r << _FIELD_BITS) | (r2t << (2 * _FIELD_BITS))
-                entries = deliver_memo.get(key)
-                if entries is None:
-                    entries = search.build_deliver_entries(rid, t2r, r2t)
-                    deliver_memo[key] = entries
-                d = cfg >> _S_DEL
-                for delta, dcount, vid in entries:
-                    if del_cap:
-                        nd = d + dcount
-                        if nd > del_cap:
-                            nd = del_cap
-                        successor = cfg + delta + ((nd - d) << _S_DEL)
-                    else:
-                        successor = cfg + delta
+                key = (cfg & _CLEAR_INJ) >> _S_RID
+                deltas = deliver_memo.get(key)
+                if deltas is None:
+                    deltas = self._build_deliver(key)
+                    deliver_memo[key] = deltas
+                members = set_members[t2r]
+                for index, delta in enumerate(deltas):
+                    vid = members[index]
                     route(
-                        successor,
+                        cfg + delta,
                         (pdigest, _MOVE_DELIVER, value_dg[vid],
                          ("deliver", values[vid])) if track else None,
                     )
@@ -612,20 +662,35 @@ class _CheckerShard(_ExplorationShard):
             "own_next": len(pending),
         }
 
+    def _flush(self, visited: int, dup_skipped: int, pruned: int) -> None:
+        """Fold a level loop's local counters into the shard."""
+        self.visited = visited
+        self.dup_skipped += dup_skipped
+        self.pruned += pruned
+
+    def _stage(self, save, level: int, frontier: List[int],
+               is_complete: bool, visited: int, dup_skipped: int,
+               pruned: int) -> None:
+        """Checkpoint barrier of a level loop: fold the loop's counters
+        in (the caller zeroes its deltas), stage the frontier, save."""
+        self._flush(visited, dup_skipped, pruned)
+        self.frontier = list(frontier)
+        save(level, is_complete)
+        self.frontier = []
+
     def run_levels_check(self, max_configurations: int,
-                         checkpoint_every: int, save,
-                         base_level: int) -> Dict[str, Any]:
+                         checkpoint_every: int, save, base_level: int,
+                         exact_cut: bool = False) -> Dict[str, Any]:
         """Single-shard driver: many levels without round barriers.
 
-        The checker's analogue of
-        :meth:`_ExplorationShard.run_levels` -- on one shard with no
-        parent tracking there is nothing to synchronise, so paying a
-        coordinator round (plus a routing closure per successor) per
-        BFS level only slows the search down.  Every barrier --
-        property scan, budget truncation, checkpoint cadence, hit
-        stop -- happens at exactly the level boundaries of the
-        coordinator loop, so verdicts, counterexamples, checkpoints
-        and stats are identical.
+        On one shard with no parent tracking there is nothing to
+        synchronise, so paying a coordinator round (plus a routing
+        closure per successor) per BFS level only slows the search
+        down -- near-chain searches run tens of thousands of levels of
+        a few configurations each.  Every barrier -- property scan,
+        budget truncation, checkpoint cadence, hit stop -- happens at
+        exactly the level boundaries of the coordinator loop, so
+        verdicts, counterexamples, checkpoints and stats are identical.
 
         The entry frontier must already be adopted (and therefore
         scanned) by :meth:`adopt`; the caller handles a hit there
@@ -640,6 +705,11 @@ class _CheckerShard(_ExplorationShard):
                 and ``self.frontier`` staged; ``None`` disables.
             base_level: absolute level of the entry frontier (for the
                 disk level log; checkpoint levels are the caller's).
+            exact_cut: expand only the first configurations of the
+                level that reaches the budget, so exactly
+                ``max_configurations`` are visited -- the truncation
+                of a FIFO queue, whose order a one-shard level order
+                is.  Interpreted tier, no checkpointing.
         """
         if self.kernel is not None:
             return self.run_levels_check_vector(
@@ -647,16 +717,27 @@ class _CheckerShard(_ExplorationShard):
             )
         search = self.search
         seen = self.seen
-        queue = list(self.frontier)
+        # One FIFO queue holding the rest of this level and the next
+        # one, walked level by level: no container is allocated per
+        # level, which near-chain searches would pay in GC time.
+        queue = deque(self.frontier)
         self.frontier = []
+        popleft = queue.popleft
         mask = _FIELD_MASK
         max_messages = self.max_messages
-        del_cap = self.del_cap
         capacity = self.capacity
-        scan = self.scan
+        over = self._over_capacity
+        build_deliver = self._build_deliver
         level_log = self.level_log
-        set_members = search.set_members
+        scanning = self.scan is not None
+        # Work at the end of a level: a cut, a log append or a scan.
+        barriers = exact_cut or scanning or level_log is not None
+        inj_field = _INJ_FIELD
+        inject_cap = max_messages << _S_INJ
+        clear_inj = _CLEAR_INJ
+        s_rid, s_t2r, s_r2t = _S_RID, _S_T2R, _S_R2T
         seen_add = seen.add
+        push = queue.append
         mark_sid = self.visited_sids.add
         mark_rid = self.visited_rids.add
         inject_memo = self.inject_memo
@@ -675,49 +756,41 @@ class _CheckerShard(_ExplorationShard):
         complete = False
         hit_reports: List[Tuple[int, Tuple]] = []
 
-        def barrier_save(is_complete: bool) -> None:
-            nonlocal dup_skipped, pruned
-            self.visited = visited
-            self.dup_skipped += dup_skipped
-            self.pruned += pruned
-            dup_skipped = 0
-            pruned = 0
-            self.frontier = list(queue)
-            save(level, is_complete)
-            self.frontier = []
-
         try:
-            while True:
-                if not queue:
-                    complete = True
-                    if save is not None:
-                        barrier_save(True)
-                    break
+            while queue:
                 if visited >= max_configurations:
                     truncated = True
                     if save is not None:
-                        barrier_save(False)
+                        self._stage(save, level, queue, False,
+                                    visited, dup_skipped, pruned)
+                        dup_skipped = pruned = 0
                     break
                 if (
                     save is not None
                     and level > 0
                     and level % checkpoint_every == 0
                 ):
-                    barrier_save(False)
-                next_queue: List[int] = []
-                next_append = next_queue.append
-                for cfg in queue:
+                    self._stage(save, level, queue, False,
+                                visited, dup_skipped, pruned)
+                    dup_skipped = pruned = 0
+                width = len(queue)
+                cut = exact_cut and width > max_configurations - visited
+                if cut:
+                    width = max_configurations - visited
+                for _ in range(width):
+                    cfg = popleft()
                     visited += 1
                     sid = cfg & mask
-                    rid = (cfg >> _S_RID) & mask
-                    t2r = (cfg >> _S_T2R) & mask
-                    r2t = (cfg >> _S_R2T) & mask
+                    rid = (cfg >> s_rid) & mask
+                    t2r = (cfg >> s_t2r) & mask
+                    r2t = (cfg >> s_r2t) & mask
                     mark_sid(sid)
                     mark_rid(rid)
-                    # The four move classes, in the serial kernel's
-                    # order.  Injection counts are masked: the
-                    # delivered field sits above them in the packing.
-                    if ((cfg >> _S_INJ) & mask) < max_messages:
+                    # 1. The environment injects a message (only into a
+                    # ready sender: the paper's one-outstanding-message
+                    # regime).  The injection field is masked: the
+                    # delivered field sits above it in the packing.
+                    if (cfg & inj_field) < inject_cap:
                         deltas = inject_get(sid)
                         if deltas is None:
                             deltas = search.build_inject_deltas(sid)
@@ -726,16 +799,12 @@ class _CheckerShard(_ExplorationShard):
                             successor = cfg + delta
                             if successor in seen:
                                 dup_skipped += 1
-                            elif capacity is not None and (
-                                len(set_members[(successor >> _S_T2R)
-                                                & mask]) > capacity
-                                or len(set_members[(successor >> _S_R2T)
-                                                   & mask]) > capacity
-                            ):
+                            elif capacity is not None and over(successor):
                                 pruned += 1
                             else:
                                 seen_add(successor)
-                                next_append(successor)
+                                push(successor)
+                    # 2. The sender fires its enabled send_pkt^{t->r}.
                     key = sid | (t2r << _FIELD_BITS)
                     delta = output_get(key, _MISSING)
                     if delta is _MISSING:
@@ -745,50 +814,30 @@ class _CheckerShard(_ExplorationShard):
                         successor = cfg + delta
                         if successor in seen:
                             dup_skipped += 1
-                        elif capacity is not None and (
-                            len(set_members[(successor >> _S_T2R)
-                                            & mask]) > capacity
-                            or len(set_members[(successor >> _S_R2T)
-                                               & mask]) > capacity
-                        ):
+                        elif capacity is not None and over(successor):
                             pruned += 1
                         else:
                             seen_add(successor)
-                            next_append(successor)
+                            push(successor)
+                    # 3. The channel delivers a value to the receiver,
+                    # whose outputs are flushed atomically (the value
+                    # stays available: set abstraction).
                     if t2r:
-                        key = (
-                            rid | (t2r << _FIELD_BITS)
-                            | (r2t << (2 * _FIELD_BITS))
-                        )
-                        entries = deliver_get(key)
-                        if entries is None:
-                            entries = search.build_deliver_entries(
-                                rid, t2r, r2t
-                            )
-                            deliver_memo[key] = entries
-                        d = cfg >> _S_DEL
-                        for entry_delta, dcount, _vid in entries:
-                            if del_cap:
-                                nd = d + dcount
-                                if nd > del_cap:
-                                    nd = del_cap
-                                successor = (
-                                    cfg + entry_delta + ((nd - d) << _S_DEL)
-                                )
-                            else:
-                                successor = cfg + entry_delta
+                        key = (cfg & clear_inj) >> s_rid
+                        deltas = deliver_get(key)
+                        if deltas is None:
+                            deltas = build_deliver(key)
+                            deliver_memo[key] = deltas
+                        for delta in deltas:
+                            successor = cfg + delta
                             if successor in seen:
                                 dup_skipped += 1
-                            elif capacity is not None and (
-                                len(set_members[(successor >> _S_T2R)
-                                                & mask]) > capacity
-                                or len(set_members[(successor >> _S_R2T)
-                                                   & mask]) > capacity
-                            ):
+                            elif capacity is not None and over(successor):
                                 pruned += 1
                             else:
                                 seen_add(successor)
-                                next_append(successor)
+                                push(successor)
+                    # 4. The channel delivers a value to the sender.
                     if r2t:
                         key = sid | (r2t << _FIELD_BITS)
                         deltas = ack_get(key)
@@ -799,51 +848,49 @@ class _CheckerShard(_ExplorationShard):
                             successor = cfg + delta
                             if successor in seen:
                                 dup_skipped += 1
-                            elif capacity is not None and (
-                                len(set_members[(successor >> _S_T2R)
-                                                & mask]) > capacity
-                                or len(set_members[(successor >> _S_R2T)
-                                                   & mask]) > capacity
-                            ):
+                            elif capacity is not None and over(successor):
                                 pruned += 1
                             else:
                                 seen_add(successor)
-                                next_append(successor)
+                                push(successor)
                 level += 1
-                queue = next_queue
+                if not barriers:
+                    continue
+                if cut:
+                    truncated = True
+                    break
                 # The adopt barrier of the new level: log, then scan.
                 if level_log is not None:
                     level_log.append(base_level + level, queue)
-                self.scanned += len(queue)
-                hits = scan(queue)
-                if hits:
-                    self.hits_found += len(hits)
-                    hit_reports = [
-                        (self._hit_digest(cfg), self._canonical(cfg))
-                        for cfg in hits
-                    ]
-                    # Stage the hit frontier, exactly as the
-                    # coordinator's hit-barrier checkpoint does: a
-                    # resumed run re-adopts and re-scans it.
-                    if save is not None:
-                        barrier_save(False)
-                    break
+                if scanning:
+                    hit_reports = self._scan(list(queue))
+                    if hit_reports:
+                        # Stage the hit frontier, exactly as the
+                        # coordinator's hit-barrier checkpoint does: a
+                        # resumed run re-adopts and re-scans it.
+                        if save is not None:
+                            self._stage(save, level, queue, False,
+                                        visited, dup_skipped, pruned)
+                            dup_skipped = pruned = 0
+                        break
+            else:
+                complete = True
+                if save is not None:
+                    self._stage(save, level, queue, True,
+                                visited, dup_skipped, pruned)
+                    dup_skipped = pruned = 0
         except ExplorationCapacityError as exc:
             # Flush progress so the caller's partial accounting (and
             # the annotated error) see how far the loop got.
-            self.visited = visited
-            self.dup_skipped += dup_skipped
-            self.pruned += pruned
+            self._flush(visited, dup_skipped, pruned)
             if exc.levels_completed is None:
                 exc.levels_completed = base_level + level
             if exc.configurations_seen is None:
                 exc.configurations_seen = visited
             raise
 
-        self.visited = visited
-        self.dup_skipped += dup_skipped
-        self.pruned += pruned
-        self.frontier = queue
+        self._flush(visited, dup_skipped, pruned)
+        self.frontier = list(queue)
         return {
             "levels": level,
             "visited": visited,
@@ -860,9 +907,9 @@ class _CheckerShard(_ExplorationShard):
         Same level barriers (budget truncation, checkpoint cadence,
         log-then-scan, hit stop), with levels below
         :data:`~repro.ioa.vecfrontier.FRONTIER_WIDE_THRESHOLD` on the
-        interpreted narrow loop and wider levels on the array kernels.
-        Hit reports convert narrow -> scalar before digesting, so the
-        canonical target is tier-invariant.
+        interpreted narrow loop and wider levels on the array kernels
+        (one-way switch).  Hit reports convert narrow -> scalar before
+        digesting, so the canonical target is tier-invariant.
         """
         kernel = self.kernel
         np = kernel.np
@@ -877,21 +924,10 @@ class _CheckerShard(_ExplorationShard):
         complete = False
         hit_reports: List[Tuple[int, Tuple]] = []
         level_log = self.level_log
-        scan = self.scan
-        scan_vector = self.scan_vector
+        scanning = self.scan is not None
 
-        def barrier_save(is_complete: bool) -> None:
-            nonlocal dup_skipped, pruned, frontier
-            self.visited = visited
-            self.dup_skipped += dup_skipped
-            self.pruned += pruned
-            dup_skipped = 0
-            pruned = 0
-            if frontier_arr is not None:
-                frontier = frontier_arr.tolist()
-            self.frontier = list(frontier)
-            save(level, is_complete)
-            self.frontier = []
+        def current() -> List[int]:
+            return frontier if frontier_arr is None else frontier_arr.tolist()
 
         try:
             while True:
@@ -902,19 +938,25 @@ class _CheckerShard(_ExplorationShard):
                 if width == 0:
                     complete = True
                     if save is not None:
-                        barrier_save(True)
+                        self._stage(save, level, current(), True,
+                                    visited, dup_skipped, pruned)
+                        dup_skipped = pruned = 0
                     break
                 if visited >= max_configurations:
                     truncated = True
                     if save is not None:
-                        barrier_save(False)
+                        self._stage(save, level, current(), False,
+                                    visited, dup_skipped, pruned)
+                        dup_skipped = pruned = 0
                     break
                 if (
                     save is not None
                     and level > 0
                     and level % checkpoint_every == 0
                 ):
-                    barrier_save(False)
+                    self._stage(save, level, current(), False,
+                                visited, dup_skipped, pruned)
+                    dup_skipped = pruned = 0
                 if (
                     kernel.wide
                     or width >= vecfrontier.FRONTIER_WIDE_THRESHOLD
@@ -926,10 +968,8 @@ class _CheckerShard(_ExplorationShard):
                         frontier = []
                     visited += len(frontier_arr)
                     frontier_arr, dup, prn = vecfrontier._expand_wide_level(
-                        self, kernel, frontier_arr
+                        kernel, frontier_arr
                     )
-                    dup_skipped += dup
-                    pruned += prn
                     level += 1
                     # The adopt barrier of the new level: log, scan.
                     if level_log is not None:
@@ -937,17 +977,18 @@ class _CheckerShard(_ExplorationShard):
                             base_level + level,
                             kernel.to_scalar_list(frontier_arr),
                         )
-                    self.scanned += len(frontier_arr)
-                    hits = scan_vector(frontier_arr)
-                    hit_list = hits.tolist() if len(hits) else []
+                    if scanning:
+                        self.scanned += len(frontier_arr)
+                        hits = self.scan_vector(frontier_arr)
+                        hit_reports = self._reports(
+                            hits.tolist() if len(hits) else []
+                        )
                 else:
                     visited += len(frontier)
                     next_frontier: List[int] = []
                     dup, prn = vecfrontier._expand_narrow_level_check(
                         self, kernel, frontier, next_frontier
                     )
-                    dup_skipped += dup
-                    pruned += prn
                     frontier = next_frontier
                     level += 1
                     if level_log is not None:
@@ -955,39 +996,30 @@ class _CheckerShard(_ExplorationShard):
                             base_level + level,
                             kernel.to_scalar_list(frontier),
                         )
-                    self.scanned += len(frontier)
-                    hit_list = scan(frontier)
-                if hit_list:
-                    self.hits_found += len(hit_list)
-                    to_scalar = kernel.to_scalar
-                    hit_reports = [
-                        (self._hit_digest(cfg), self._canonical(cfg))
-                        for cfg in map(to_scalar, hit_list)
-                    ]
+                    hit_reports = self._scan(frontier)
+                dup_skipped += dup
+                pruned += prn
+                if hit_reports:
                     # Stage the hit frontier, exactly as the
                     # coordinator's hit-barrier checkpoint does: a
                     # resumed run re-adopts and re-scans it.
                     if save is not None:
-                        barrier_save(False)
+                        self._stage(save, level, current(), False,
+                                    visited, dup_skipped, pruned)
+                        dup_skipped = pruned = 0
                     break
         except ExplorationCapacityError as exc:
             # Flush progress so the caller's partial accounting (and
             # the annotated error) see how far the loop got.
-            self.visited = visited
-            self.dup_skipped += dup_skipped
-            self.pruned += pruned
+            self._flush(visited, dup_skipped, pruned)
             if exc.levels_completed is None:
                 exc.levels_completed = base_level + level
             if exc.configurations_seen is None:
                 exc.configurations_seen = visited
             raise
 
-        self.visited = visited
-        self.dup_skipped += dup_skipped
-        self.pruned += pruned
-        if frontier_arr is not None:
-            frontier = frontier_arr.tolist()
-        self.frontier = list(frontier)
+        self._flush(visited, dup_skipped, pruned)
+        self.frontier = current()
         return {
             "levels": level,
             "visited": visited,
@@ -1011,79 +1043,119 @@ class _CheckerShard(_ExplorationShard):
 
     # -- checkpointing -------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
-        dump = super().snapshot()
-        dump["parents"] = dict(self.parents)
-        dump["by_digest"] = dict(self.by_digest)
-        dump["pruned"] = self.pruned
-        dump["hits_found"] = self.hits_found
-        dump["scanned"] = self.scanned
-        return dump
+        """Portable dump of the shard (taken at an adopt barrier).
+
+        Always in the scalar packing: the vector tier converts its
+        narrow configs on the way out, so dumps are format-identical
+        across tiers (the checkpoint *key* still separates them).
+        """
+        s = self.search
+        if self.kernel is not None:
+            self.kernel.sync_visited(self)
+            seen = set(self.kernel.to_scalar_list(list(self.kernel.seen)))
+            frontier = self.kernel.to_scalar_list(self.frontier)
+        else:
+            seen = set(self.seen)
+            frontier = list(self.frontier)
+        return {
+            "sender_keys": list(s.sender_keys),
+            "sender_snaps": list(s.sender_snaps),
+            "receiver_keys": list(s.receiver_keys),
+            "receiver_snaps": list(s.receiver_snaps),
+            "values": list(s.values),
+            "set_members": list(s.set_members),
+            "packet_values": {
+                direction: set(values)
+                for direction, values in self.result.packet_values.items()
+            },
+            "seen": seen,
+            "frontier": frontier,
+            "visited_sids": set(self.visited_sids),
+            "visited_rids": set(self.visited_rids),
+            "visited": self.visited,
+            "dup_skipped": self.dup_skipped,
+            "forwarded": self.forwarded,
+            "memo_hits": s.memo_hits,
+            "memo_misses": s.memo_misses,
+            "parents": dict(self.parents),
+            "by_digest": dict(self.by_digest),
+            "pruned": self.pruned,
+            "hits_found": self.hits_found,
+            "scanned": self.scanned,
+        }
 
     def restore(self, dump: Dict[str, Any]) -> bool:
-        super().restore(dump)
-        self.search.rcv_dcount = {}
+        s = self.search
+        s.restore_tables(dump)
+        for direction, values in dump["packet_values"].items():
+            self.result.packet_values[direction] = set(values)
+        s.pv_t2r = self.result.packet_values[Direction.T2R]
+        s.pv_r2t = self.result.packet_values[Direction.R2T]
+        if self.del_cap:
+            s.rcv_dcount = {}
         if self.kernel is not None:
-            # super().restore rebuilt a fresh kernel bound to the
-            # delivered-count memo the line above just replaced;
-            # re-point it so misses land in the live dict.
-            self.kernel._rcv_dcount = self.search.rcv_dcount
-        if self.store_kind == "disk":
-            # The checkpoint materialises the full seen-set; rebuild a
-            # fresh disk store from it (store directories are scratch
-            # space, not caches -- see repro.checker.store).
-            if self.kernel is not None:
+            # Fresh kernel over the restored tables; re-pack the dump's
+            # scalar configs narrow.  A dump too large for the narrow
+            # fields demotes (the coordinator restarts interpreted).
+            kernel = vecfrontier.FrontierKernel(
+                s, self.max_messages,
+                del_cap=self.del_cap, capacity=self.capacity,
+            )
+            self.kernel = kernel
+            from_scalar = kernel.from_scalar
+            kernel.seen.buffer = {from_scalar(cfg) for cfg in dump["seen"]}
+            self.seen = set()
+            # The dumped frontier was adopted but not expanded; stage
+            # it as pending so the next adopt barrier swaps it back in.
+            self.pending = [from_scalar(cfg) for cfg in dump["frontier"]]
+            if self.store_kind == "disk":
                 self._attach_vec_disk_store()
-            else:
-                ram = self.seen
-                self._attach_disk_store(seed=ram)
-        self.parents = dict(dump.get("parents", {}))
-        self.by_digest = dict(dump.get("by_digest", {}))
+        else:
+            self.seen = set(dump["seen"])
+            self.pending = list(dump["frontier"])
+            if self.store_kind == "disk":
+                # The checkpoint materialises the full seen-set; rebuild
+                # a fresh disk store from it (store directories are
+                # scratch space, not caches -- see repro.checker.store).
+                self._attach_disk_store(seed=self.seen)
+        self.frontier = []
+        self.visited_sids = set(dump["visited_sids"])
+        self.visited_rids = set(dump["visited_rids"])
+        self.visited = dump["visited"]
+        self.dup_skipped = dump["dup_skipped"]
+        self.forwarded = dump["forwarded"]
+        self._reset_memos()
+        self.parents = dict(dump["parents"])
+        self.by_digest = dict(dump["by_digest"])
         self.level_parents = {}
-        self.pruned = dump.get("pruned", 0)
-        self.hits_found = dump.get("hits_found", 0)
-        self.scanned = dump.get("scanned", 0)
+        self.pruned = dump["pruned"]
+        self.hits_found = dump["hits_found"]
+        self.scanned = dump["scanned"]
         return True
 
     # -- results -------------------------------------------------------
-    def finish_check(self) -> Dict[str, Any]:
+    def finish(self, states: bool = False) -> Dict[str, Any]:
+        """Counters; with ``states`` also the visited station-state
+        keys, station pairs and packet values an exploration reports."""
         s = self.search
         if self.level_log is not None:
             self.level_log.flush()
-        if self.kernel is not None:
-            kernel = self.kernel
+        kernel = self.kernel
+        if kernel is not None:
             kernel.sync_visited(self)
+            seen_count = len(kernel.seen)
             store_stats = dict(kernel.seen.stats())
-            store_stats["configurations"] = len(kernel.seen)
-            return {
-                "visited": self.visited,
-                "seen": len(kernel.seen),
-                "dup_skipped": self.dup_skipped,
-                "forwarded": self.forwarded,
-                "pruned": self.pruned,
-                "scanned": self.scanned,
-                "hits_found": self.hits_found,
-                "sender_states": len(self.visited_sids),
-                "receiver_states": len(self.visited_rids),
-                "memo_hits": s.memo_hits,
-                "memo_misses": s.memo_misses,
-                "interned_sender_states": len(s.sender_keys),
-                "interned_receiver_states": len(s.receiver_keys),
-                "interned_packet_values": len(s.values),
-                "interned_value_sets": len(s.set_members),
-                "store": store_stats,
-                "frontier": kernel.perf_counters(),
-            }
-        if isinstance(self.seen, DiskVisitedStore):
+            store_stats["configurations"] = seen_count
+        elif isinstance(self.seen, DiskVisitedStore):
             self.seen.flush()
+            seen_count = len(self.seen)
             store_stats = self.seen.stats()
         else:
-            store_stats = {
-                "backend": "memory",
-                "configurations": len(self.seen),
-            }
-        return {
+            seen_count = len(self.seen)
+            store_stats = {"backend": "memory", "configurations": seen_count}
+        finish = {
             "visited": self.visited,
-            "seen": len(self.seen),
+            "seen": seen_count,
             "dup_skipped": self.dup_skipped,
             "forwarded": self.forwarded,
             "pruned": self.pruned,
@@ -1099,12 +1171,53 @@ class _CheckerShard(_ExplorationShard):
             "interned_value_sets": len(s.set_members),
             "store": store_stats,
         }
+        if kernel is not None:
+            finish["frontier"] = kernel.perf_counters()
+        if states:
+            sender_keys = s.sender_keys
+            receiver_keys = s.receiver_keys
+            finish["sender_keys"] = {
+                sender_keys[sid] for sid in self.visited_sids
+            }
+            finish["receiver_keys"] = {
+                receiver_keys[rid] for rid in self.visited_rids
+            }
+            finish["pairs"] = self._pairs()
+            finish["packet_values"] = self.result.packet_values
+        return finish
+
+    def _pairs(self) -> set:
+        """Distinct station pairs over every configuration reached
+        (queued ones included).  Pair identity must survive the merge:
+        across shards ids differ, so pairs ship as key tuples; with one
+        shard the packed id pair is already canonical and avoids
+        hashing every key tuple."""
+        s = self.search
+        kernel = self.kernel
+        if kernel is not None:
+            # Unique first (vectorized over the seen runs): the
+            # key-tuple mapping then touches each distinct pair once.
+            unique = kernel.unique_pairs()
+            if self.num_shards == 1:
+                return set(unique)
+            return {
+                (s.sender_keys[p & kernel.m_sid],
+                 s.receiver_keys[(p >> kernel.sh_rid) & kernel.m_rid])
+                for p in unique
+            }
+        if self.num_shards == 1:
+            return {cfg & _PAIR_MASK for cfg in self.seen}
+        return {
+            (s.sender_keys[cfg & _FIELD_MASK],
+             s.receiver_keys[(cfg >> _S_RID) & _FIELD_MASK])
+            for cfg in self.seen
+        }
 
 
 def _checker_shard_factory(index: int, num_shards: int, *, sender, receiver,
-                           alphabet, max_messages, options):
-    """Child-side construction of a checker shard (module level so the
-    process backend can pickle it)."""
+                   alphabet, max_messages, options):
+    """Child-side construction of a shard (module level so the process
+    backend can pickle it)."""
     shard = _CheckerShard(
         index, num_shards, sender, receiver, alphabet, max_messages, options
     )
@@ -1117,27 +1230,31 @@ def _checker_shard_factory(index: int, num_shards: int, *, sender, receiver,
 
 def checker_checkpoint_key(sender: IOAutomaton, receiver: IOAutomaton,
                            alphabet: List[Hashable], max_messages: int,
-                           num_shards: int, backend: str, prop_spec: str,
+                           num_shards: int, backend: str,
+                           prop_spec: Optional[str],
                            track_parents: bool, del_cap: int,
                            capacity: Optional[int], store: str,
                            engine_tier: Optional[str] = None) -> str:
-    """Content key of a checker run: everything that shapes the search
-    except the visit budget (budgets stay incremental, as for the
-    exploration checkpoints)."""
-    import hashlib
+    """Content key of a search checkpoint: everything that shapes the
+    search except the visit budget (so budgets are incremental), plus
+    the source digest.  Explorations pass ``prop_spec=None``.
 
+    ``engine_tier`` (``"interpreted"``/``"vector"``) keeps one tier's
+    checkpoints from resuming into the other; ``None`` resolves like
+    ``engine="auto"`` does, so keys computed outside the coordinator
+    agree with default runs.
+    """
     from repro.runtime.cache import code_version
 
     material = (
         CHECKER_CHECKPOINT_FORMAT,
-        _kernel_version(),
         code_version(),
         type(sender).__module__, type(sender).__qualname__,
         type(receiver).__module__, type(receiver).__qualname__,
         sender.protocol_state(), receiver.protocol_state(),
         tuple(alphabet), max_messages, num_shards, backend,
         prop_spec, track_parents, del_cap, capacity, store,
-        _engine_tier_salt(engine_tier),
+        engine_tier or resolve_engine_tier("auto"),
     )
     blob = pickle.dumps(_canon(material), protocol=4)
     return hashlib.sha256(blob).hexdigest()[:32]
@@ -1153,27 +1270,66 @@ def _default_checker_dir() -> str:
 # The search driver
 # ----------------------------------------------------------------------
 
+def _search(sender: IOAutomaton, receiver: IOAutomaton,
+            alphabet: List[Hashable], prop: Optional[Property],
+            *, engine_tier: str, **kwargs: Any) -> Dict[str, Any]:
+    """:func:`_run_search` with the vector tier's demotion rule.
+
+    A narrow-field overflow mid-search demotes the whole run to the
+    interpreted tier: results are identical, only the work done so far
+    is repaid (overflow needs tens of thousands of distinct station
+    states, so this is rare).  The demotion is recorded in the
+    outcome's engine report.
+    """
+    try:
+        return _run_search(sender, receiver, alphabet, prop,
+                           engine_tier=engine_tier, **kwargs)
+    except Exception as exc:
+        from repro.runtime.bsp import ShardWorkerError
+
+        demoted = isinstance(exc, vecfrontier.FrontierDemotedError) or (
+            isinstance(exc, ShardWorkerError)
+            and "FrontierDemotedError" in str(exc)
+        )
+        if not demoted or engine_tier != "vector":
+            raise
+        reason = str(exc)
+    outcome = _run_search(sender, receiver, alphabet, prop,
+                          engine_tier="interpreted", **kwargs)
+    outcome["engine"]["frontier"] = {"tier": "interpreted", "demoted": reason}
+    return outcome
+
+
 def _run_search(
     sender: IOAutomaton,
     receiver: IOAutomaton,
     alphabet: List[Hashable],
-    prop: Property,
+    prop: Optional[Property],
     *,
     max_messages: int,
     max_configurations: int,
     workers: int,
     use_processes: Optional[bool],
-    track_parents: bool,
-    del_cap: int,
-    capacity: Optional[int],
-    store: str,
-    store_dir: Optional[str],
-    checkpoint_every: int,
-    checkpoint_dir: Optional[str],
-    resume: bool,
+    track_parents: bool = False,
+    del_cap: int = 0,
+    capacity: Optional[int] = None,
+    store: str = "memory",
+    store_dir: Optional[str] = None,
+    checkpoint_every: int = 0,
+    checkpoint_dir: Optional[str] = None,
+    resume: bool = True,
     engine_tier: str = "interpreted",
+    states: bool = False,
+    exact_cut: bool = False,
 ) -> Dict[str, Any]:
-    """One complete level-synchronous hit-hunting search.
+    """One complete level-synchronous search.
+
+    ``prop=None`` is a plain exploration: no scan, never a hit.  With
+    ``states`` the shards' finish reports carry the visited state sets
+    (see :meth:`_CheckerShard.finish`), and a capacity overflow
+    attaches a partial :class:`~repro.ioa.exploration.ExplorationResult`
+    to the error.  ``exact_cut`` is the serial exploration's mid-level
+    truncation (see :meth:`_CheckerShard.run_levels_check`).
 
     Returns a dict with the verdict ingredients: ``complete`` /
     ``truncated`` flags, the canonical ``target`` (minimum
@@ -1207,29 +1363,30 @@ def _run_search(
     num_shards = max(1, workers) if use_procs else 1
     backend = "process" if use_procs else "in-process"
 
-    key = checker_checkpoint_key(
-        sender, receiver, alphabet, max_messages, num_shards, backend,
-        prop.spec(), track_parents, del_cap, capacity, store,
-        engine_tier=engine_tier,
-    )
+    checkpointing = checkpoint_every > 0 or checkpoint_dir is not None
+    key = ""
+    if checkpointing or store == "disk":
+        key = checker_checkpoint_key(
+            sender, receiver, alphabet, max_messages, num_shards, backend,
+            None if prop is None else prop.spec(), track_parents, del_cap,
+            capacity, store, engine_tier=engine_tier,
+        )
     if store == "disk" and store_dir is None:
         store_dir = os.path.join(_default_checker_dir(), "store", key)
 
-    checkpointing = checkpoint_every > 0 or checkpoint_dir is not None
+    ckpt_path = ""
     if checkpointing:
         if checkpoint_every <= 0:
             checkpoint_every = 16
         if checkpoint_dir is None:
             checkpoint_dir = _default_checker_dir()
         ckpt_path = checkpoint_path(checkpoint_dir, key)
-    else:
-        ckpt_path = ""
 
     state: Optional[Dict[str, Any]] = None
     resumed_from = None
     if checkpointing and resume and os.path.exists(ckpt_path):
         state = _load_checkpoint(
-            ckpt_path, key, num_shards, fmt=CHECKER_CHECKPOINT_FORMAT
+            ckpt_path, key, num_shards, CHECKER_CHECKPOINT_FORMAT
         )
         if state is not None:
             resumed_from = {
@@ -1281,161 +1438,165 @@ def _run_search(
     checkpoints_written = 0
     level = 0
     visited_total = 0
+
+    def write_checkpoint(at_level: int, visited: int, is_complete: bool,
+                         dumps: List[Dict[str, Any]]) -> None:
+        nonlocal checkpoints_written
+        _save_checkpoint(ckpt_path, {
+            "format": CHECKER_CHECKPOINT_FORMAT,
+            "key": key,
+            "num_shards": num_shards,
+            "backend": backend,
+            "level": at_level,
+            "visited": visited,
+            "complete": is_complete,
+            "dumps": dumps,
+        })
+        checkpoints_written += 1
+
+    def barrier_checkpoint(is_complete: bool) -> None:
+        write_checkpoint(level, visited_total, is_complete,
+                         request_all([("snapshot",)] * num_shards))
+
     try:
-        try:
-            if state is not None:
-                request_all([("restore", dump) for dump in state["dumps"]])
-                level = state["level"]
-                visited_total = state["visited"]
-                inbound: List[List[Tuple]] = [[] for _ in range(num_shards)]
-            else:
-                seed = (
-                    sender.protocol_state(), sender.snapshot(),
-                    receiver.protocol_state(), receiver.snapshot(),
-                    (), (), 0, 0,
-                )
-                # Broadcast the seed; each shard adopts it only if owner.
-                inbound = [[(seed, None)] for _ in range(num_shards)]
-            session_base = visited_total
+        if state is not None:
+            request_all([("restore", dump) for dump in state["dumps"]])
+            level = state["level"]
+            visited_total = state["visited"]
+            inbound: List[List[Tuple]] = [[] for _ in range(num_shards)]
+        else:
+            seed = (
+                sender.protocol_state(), sender.snapshot(),
+                receiver.protocol_state(), receiver.snapshot(),
+                (), (), 0, 0,
+            )
+            # Broadcast the seed; each shard adopts it only if owner.
+            inbound = [[(seed, None)] for _ in range(num_shards)]
+        session_base = visited_total
 
-            complete = False
-            truncated = False
-            levels_this_session = 0
-            hit_reports: List[Tuple[int, Tuple]] = []
+        complete = False
+        truncated = False
+        levels_this_session = 0
+        hit_reports: List[Tuple[int, Tuple]] = []
 
-            def write_checkpoint(is_complete: bool) -> None:
-                nonlocal checkpoints_written
-                dumps = request_all([("snapshot",)] * num_shards)
-                _save_checkpoint(ckpt_path, {
-                    "format": CHECKER_CHECKPOINT_FORMAT,
-                    "key": key,
-                    "num_shards": num_shards,
-                    "backend": backend,
-                    "level": level,
-                    "visited": visited_total,
-                    "complete": is_complete,
-                    "dumps": dumps,
-                })
-                checkpoints_written += 1
-
-            if not use_procs and not track_parents:
-                # Single shard without parent tracking: skip per-level
-                # coordinator rounds (mirrors the exploration engine's
-                # run_levels fast path; barriers are identical).
-                base_level = level
-                response = shard.adopt(inbound[0], level)
-                hit_reports.extend(response["hits"])
-                if hit_reports:
-                    # The seed/restored frontier already hits.
-                    if checkpointing:
-                        write_checkpoint(False)
-                else:
-                    save = None
-                    if checkpointing:
-                        def save(session_level: int,
-                                 is_complete: bool) -> None:
-                            nonlocal checkpoints_written
-                            _save_checkpoint(ckpt_path, {
-                                "format": CHECKER_CHECKPOINT_FORMAT,
-                                "key": key,
-                                "num_shards": num_shards,
-                                "backend": backend,
-                                "level": base_level + session_level,
-                                "visited": shard.visited,
-                                "complete": is_complete,
-                                "dumps": [shard.snapshot()],
-                            })
-                            checkpoints_written += 1
-
-                    stats = shard.run_levels_check(
-                        max_configurations, checkpoint_every, save,
-                        base_level,
-                    )
-                    complete = stats["complete"]
-                    truncated = stats["truncated"]
-                    visited_total = stats["visited"]
-                    levels_this_session = stats["levels"]
-                    level = base_level + levels_this_session
-                    hit_reports.extend(stats["hits"])
-                rounds_done = True
-            else:
-                rounds_done = False
-
-            while not rounds_done:
-                responses = request_all([
-                    ("adopt", inbound[i], level) for i in range(num_shards)
-                ])
-                inbound = [[] for _ in range(num_shards)]
-                for response in responses:
-                    hit_reports.extend(response["hits"])
-                if hit_reports:
-                    # Stop at the first hit barrier.  The checkpoint
-                    # stages the hit frontier, so a resumed run
-                    # re-adopts and re-scans it -- the hit (and the
-                    # verdict) reproduce.
-                    if checkpointing:
-                        write_checkpoint(False)
-                    break
-                if sum(r["size"] for r in responses) == 0:
-                    complete = True
-                    if checkpointing:
-                        write_checkpoint(True)
-                    break
-                if visited_total >= max_configurations:
-                    truncated = True
-                    if checkpointing:
-                        write_checkpoint(False)
-                    break
-                if (
-                    checkpointing
-                    and levels_this_session > 0
-                    and levels_this_session % checkpoint_every == 0
-                ):
-                    write_checkpoint(False)
-                responses = request_all([("expand",)] * num_shards)
-                for response in responses:
-                    visited_total += response["expanded"]
-                    for dest, batch in enumerate(response["outbox"]):
-                        if batch:
-                            inbound[dest].extend(batch)
-                level += 1
-                levels_this_session += 1
-
-            target = None
-            path = None
+        if not use_procs and not track_parents:
+            # Single shard without parent tracking: skip per-level
+            # coordinator rounds (barriers are identical).
+            base_level = level
+            response = shard.adopt(inbound[0], level)
+            hit_reports.extend(response["hits"])
             if hit_reports:
-                # Min digest selects the canonical target; repr (pure
-                # content, unlike pickle's identity-sensitive memo)
-                # breaks the astronomically unlikely digest tie.
-                target = min(
-                    hit_reports,
-                    key=lambda item: (item[0], repr(item[1])),
+                # The seed/restored frontier already hits.
+                if checkpointing:
+                    barrier_checkpoint(False)
+            else:
+                save = None
+                if checkpointing:
+                    def save(session_level: int, is_complete: bool) -> None:
+                        write_checkpoint(
+                            base_level + session_level, shard.visited,
+                            is_complete, [shard.snapshot()],
+                        )
+
+                stats = shard.run_levels_check(
+                    max_configurations, checkpoint_every, save,
+                    base_level, exact_cut=exact_cut,
                 )
-                if track_parents:
-                    path = _resolve_path(request_one, num_shards, target[0])
+                complete = stats["complete"]
+                truncated = stats["truncated"]
+                visited_total = stats["visited"]
+                levels_this_session = stats["levels"]
+                level = base_level + levels_this_session
+                hit_reports.extend(stats["hits"])
+            rounds_done = True
+        else:
+            rounds_done = False
 
-            finishes = request_all([("finish_check",)] * num_shards)
-        except ExplorationCapacityError as exc:
-            # In-process shard overflow: annotate with partial progress
-            # (the tight level loop annotates more precisely itself).
-            if exc.levels_completed is None:
-                exc.levels_completed = level
-            if exc.configurations_seen is None:
-                exc.configurations_seen = visited_total
-            raise
-        except Exception as exc:
-            # Process-backend overflow arrives as a ShardWorkerError
-            # carrying the original type name in its message.
-            from repro.runtime.bsp import ShardWorkerError
+        while not rounds_done:
+            responses = request_all([
+                ("adopt", inbound[i], level) for i in range(num_shards)
+            ])
+            inbound = [[] for _ in range(num_shards)]
+            for response in responses:
+                hit_reports.extend(response["hits"])
+            if hit_reports:
+                # Stop at the first hit barrier.  The checkpoint stages
+                # the hit frontier, so a resumed run re-adopts and
+                # re-scans it -- the hit (and the verdict) reproduce.
+                if checkpointing:
+                    barrier_checkpoint(False)
+                break
+            if sum(r["size"] for r in responses) == 0:
+                complete = True
+                if checkpointing:
+                    barrier_checkpoint(True)
+                break
+            if visited_total >= max_configurations:
+                truncated = True
+                if checkpointing:
+                    barrier_checkpoint(False)
+                break
+            if (
+                checkpointing
+                and levels_this_session > 0
+                and levels_this_session % checkpoint_every == 0
+            ):
+                barrier_checkpoint(False)
+            responses = request_all([("expand",)] * num_shards)
+            for response in responses:
+                visited_total += response["expanded"]
+                for dest, batch in enumerate(response["outbox"]):
+                    if batch:
+                        inbound[dest].extend(batch)
+            level += 1
+            levels_this_session += 1
 
-            if isinstance(exc, ShardWorkerError) \
-                    and "ExplorationCapacityError" in str(exc):
-                raise ExplorationCapacityError(
-                    str(exc),
-                    levels_completed=level,
-                    configurations_seen=visited_total,
-                ) from exc
+        target = None
+        path = None
+        if hit_reports:
+            # Min digest selects the canonical target; repr (pure
+            # content, unlike pickle's identity-sensitive memo) breaks
+            # the astronomically unlikely digest tie.
+            target = min(
+                hit_reports,
+                key=lambda item: (item[0], repr(item[1])),
+            )
+            if track_parents:
+                path = _resolve_path(request_one, num_shards, target[0])
+
+        finishes = request_all([("finish", states)] * num_shards)
+    except Exception as exc:
+        from repro.runtime.bsp import ShardWorkerError
+
+        # Process-backend overflow arrives as a ShardWorkerError
+        # carrying the original type name in its message.
+        if isinstance(exc, ExplorationCapacityError):
+            error = exc
+        elif isinstance(exc, ShardWorkerError) \
+                and "ExplorationCapacityError" in str(exc):
+            error = ExplorationCapacityError(str(exc))
+        else:
             raise
+        if error.levels_completed is None:
+            error.levels_completed = level
+        if error.configurations_seen is None:
+            error.configurations_seen = visited_total
+        if states:
+            # BSP workers survive handler exceptions, so the shards can
+            # still report what they reached: the partial result rides
+            # on the error instead of being discarded.
+            try:
+                partial_finishes = request_all(
+                    [("finish", True)] * num_shards
+                )
+            except Exception:
+                partial_finishes = None
+            if partial_finishes is not None:
+                error.partial = merge_finishes(partial_finishes, True)
+                error.configurations_seen = error.partial.configurations
+        if error is exc:
+            raise
+        raise error from exc
     finally:
         if pool is not None:
             pool.close()
@@ -1601,13 +1762,12 @@ def check_protocol(
         "engine": engine,
     }
 
-    # The in-process search uses the station objects as transition
-    # scratch space and leaves them in arbitrary states; every phase
-    # (and the final replay) needs the pristine originals, so each
-    # search gets its own clones.
-    def _primary_search(tier: str) -> Dict[str, Any]:
-        return _run_search(
-            sender.clone(), receiver.clone(), alphabet, prop,
+    # Every search interns its own clones of the stations (see
+    # _InternedSearch), so the originals stay pristine for the trace
+    # re-run and the final replay.
+    try:
+        outcome = _search(
+            sender, receiver, alphabet, prop,
             max_messages=max_messages,
             max_configurations=max_configurations,
             workers=workers,
@@ -1620,32 +1780,8 @@ def check_protocol(
             checkpoint_every=checkpoint_every,
             checkpoint_dir=checkpoint_dir,
             resume=resume,
-            engine_tier=tier,
+            engine_tier=engine_tier,
         )
-
-    try:
-        try:
-            outcome = _primary_search(engine_tier)
-        except Exception as exc:
-            from repro.runtime.bsp import ShardWorkerError
-
-            # A narrow-field overflow mid-search demotes the whole run
-            # to the interpreted tier (identical verdicts; only the
-            # work done so far is repaid) -- the exploration engine's
-            # discipline.
-            demoted = isinstance(
-                exc, vecfrontier.FrontierDemotedError
-            ) or (
-                isinstance(exc, ShardWorkerError)
-                and "FrontierDemotedError" in str(exc)
-            )
-            if not demoted or engine_tier != "vector":
-                raise
-            outcome = _primary_search("interpreted")
-            outcome["engine"]["frontier"] = {
-                "tier": "interpreted",
-                "demoted": str(exc),
-            }
     except ExplorationCapacityError as exc:
         return CheckResult(
             verdict="budget-exhausted",
@@ -1654,8 +1790,8 @@ def check_protocol(
             counterexample=None,
             stats={
                 "capacity_error": str(exc),
-                "levels": getattr(exc, "levels_completed", None),
-                "configurations": getattr(exc, "configurations_seen", None),
+                "levels": exc.levels_completed,
+                "configurations": exc.configurations_seen,
                 "elapsed_s": round(time.perf_counter() - started, 6),
             },
             options=options,
@@ -1679,9 +1815,12 @@ def check_protocol(
     if steps is None and trace == "auto":
         # Phase 2: the identical search (single in-process shard -- the
         # canonical parent selection is shard-count-invariant) with
-        # parent tracking, stopping at the same hit barrier.
+        # parent tracking, stopping at the same hit barrier.  Parent
+        # tracking is interpreted-only (the gate); the canonical target
+        # is tier-invariant, so the re-run still selects the same
+        # counterexample.
         second = _run_search(
-            sender.clone(), receiver.clone(), alphabet, prop,
+            sender, receiver, alphabet, prop,
             max_messages=max_messages,
             max_configurations=max_configurations,
             workers=1,
@@ -1689,15 +1828,7 @@ def check_protocol(
             track_parents=True,
             del_cap=del_cap,
             capacity=capacity,
-            store="memory",
-            store_dir=None,
-            checkpoint_every=0,
-            checkpoint_dir=None,
             resume=False,
-            # Parent tracking is interpreted-only (the gate); the
-            # canonical target is tier-invariant, so the re-run still
-            # selects the same counterexample.
-            engine_tier="interpreted",
         )
         if second["target"] is None or second["target"][0] != target_digest:
             raise RuntimeError(

@@ -1,9 +1,9 @@
 """The property layer of the bounded checker.
 
-A :class:`Property` turns the sharded state-space exploration
-(:mod:`repro.ioa.exploration_parallel`) into a query: instead of only
-counting station states, every newly discovered abstract configuration
-is tested against a predicate.  Two kinds exist:
+A :class:`Property` turns the level-synchronous BFS engine
+(:mod:`repro.checker.engine`) into a query: instead of only counting
+station states, every newly discovered abstract configuration is
+tested against a predicate.  Two kinds exist:
 
 * **invariants** -- predicates expected to hold on *every* reachable
   configuration; a configuration where the predicate fails is a
@@ -80,7 +80,7 @@ __all__ = [
 ]
 
 # The checker packs a sixth field -- the saturating delivered count --
-# above the serial kernel's five (see repro.checker.engine).
+# above the five exploration fields (see repro.checker.engine).
 _S_DEL = 5 * (_S_RID)  # _S_RID == _FIELD_BITS
 
 
@@ -116,7 +116,7 @@ class BindContext:
 
     The packing *layout* is part of the context: scanners read the
     shift/mask attributes instead of the scalar module constants, so
-    the same bind works on the serial kernels' wide packing (the
+    the same bind works on the scalar kernels' wide packing (the
     default) and on the vector tier's narrow int64 packing
     (:class:`repro.ioa.vecfrontier.FrontierKernel` supplies its
     layout via ``kernel=``).  Intern id spaces are shared across

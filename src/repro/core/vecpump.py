@@ -50,10 +50,6 @@ from repro.ioa.compile import (
 )
 from repro.ioa.execution import TraceMode
 
-#: Cache salt: bump on any change to this engine that could alter
-#: results (see ``repro.runtime.cache``).
-PUMP_VERSION = "repro-pump/1"
-
 #: Below this many trials the auto tier keeps the batch engine: the
 #: array dispatch overhead beats the Python loop only at grid scale.
 PUMP_MIN_TRIALS = 16

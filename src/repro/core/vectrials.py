@@ -50,11 +50,6 @@ fully table-compilable (Go-Back-N/window senders, oracle-mode
 flooding), or a configuration outside the batch-engine envelope.
 Auto engine selection falls back to the batch engine, then the
 interpreted engine -- exactly the PR 5 tiering.
-
-``VECTOR_VERSION`` is salted into the runtime result cache
-(:mod:`repro.runtime.cache`), same contract as ``KERNEL_VERSION`` /
-``COMPILE_VERSION``: payloads produced by a different vector-engine
-generation must never be served.
 """
 
 from __future__ import annotations
@@ -74,11 +69,6 @@ from repro.ioa.compile import (
 )
 from repro.ioa.execution import TraceMode
 from repro.ioa.sinks import ExecutionSink
-
-#: Generation of the vectorized trial engine.  Bump on any change to
-#: what the vector path computes or counts; the runtime result cache
-#: salts this into every key (see :mod:`repro.runtime.cache`).
-VECTOR_VERSION = "repro-vector/1"
 
 #: Below this many trials the auto tier stays on the batch engine:
 #: array-op dispatch overhead beats the Python loop only once a batch

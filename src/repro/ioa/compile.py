@@ -41,11 +41,6 @@ The gating predicates (:func:`stock_sender_plumbing` /
 kernels: both need the same guarantee -- that the station class kept
 the base-class engine dispatch, so transitions can talk to the
 protocol hooks directly and states can be restored field-wise.
-
-``COMPILE_VERSION`` is salted into the runtime result cache
-(:mod:`repro.runtime.cache`): cached experiment payloads produced by a
-different compiler generation must never be served, even to readers
-that pin the code digest.
 """
 
 from __future__ import annotations
@@ -54,11 +49,6 @@ from collections import deque
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.ioa.actions import Direction
-
-#: Generation of the table-compilation/batched-trial kernel.  Bump on
-#: any change to what the compiled paths compute or count; the runtime
-#: result cache salts this into every key.
-COMPILE_VERSION = "repro-compile/1"
 
 #: Kernel-level sentinel for "no value" (value ids are >= 0).
 NO_VALUE = -1

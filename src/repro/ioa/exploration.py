@@ -64,7 +64,11 @@ count the underlying per-transition memo; delta-memo hits bypass even
 that lookup, so hit counts are lower than the number of generated
 successors.
 
-Parallel exploration and checkpoint/resume live in
+This module holds the interned kernel (:class:`_InternedSearch`) and
+the result types.  The search loop is the bounded checker's
+level-synchronous BFS engine (:mod:`repro.checker.engine`) run with no
+property: exploration is a check whose property never fires.  Sharded
+exploration and checkpoint/resume live in
 :mod:`repro.ioa.exploration_parallel`; the ``parallel=`` /
 ``checkpoint_*`` arguments of :func:`explore_station_states` dispatch
 there.
@@ -72,8 +76,6 @@ there.
 
 from __future__ import annotations
 
-import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
@@ -107,8 +109,9 @@ class ExplorationCapacityError(RuntimeError):
         partial: a truncated :class:`ExplorationResult` covering the
             work completed before the overflow (``None`` when the
             raising engine could not assemble one).
-        levels_completed: BFS levels fully expanded (level-synchronous
-            engines only; the serial FIFO kernel reports ``None``).
+        levels_completed: BFS levels fully expanded (the sharded
+            entry point only; the serial one, which cuts mid-level,
+            reports ``None``).
         configurations_seen: configurations visited before the
             overflow.
     """
@@ -208,7 +211,7 @@ class _InternedSearch:
         "set_ids", "set_members", "set_extend",
         "ready_memo", "msg_memo", "out_memo", "sender_rcv_memo",
         "receiver_rcv_memo",
-        "memo_hits", "memo_misses", "dup_skipped",
+        "memo_hits", "memo_misses",
     )
 
     def __init__(
@@ -268,7 +271,6 @@ class _InternedSearch:
         self.receiver_rcv_memo: Dict[Tuple[int, int], Tuple[int, Tuple[int, ...]]] = {}
         self.memo_hits = 0
         self.memo_misses = 0
-        self.dup_skipped = 0
 
     # -- interning ------------------------------------------------------
     def _guard(self, next_id: int) -> int:
@@ -372,8 +374,8 @@ class _InternedSearch:
         return new_id
 
     # Hooks for subclasses that maintain parallel per-id tables (the
-    # sharded engine adds content digests); the serial kernel pays one
-    # no-op call per *new* id only.
+    # sharded engine adds content digests); a search without them pays
+    # one call per *new* id only.
     def on_new_sender(self, sid: int) -> None:
         pass
 
@@ -653,7 +655,7 @@ def explore_station_states(
         resume: continue from a matching checkpoint instead of
             restarting (parallel engine only).
         engine: BFS tier.  ``"auto"`` (default) keeps the serial
-            FIFO kernel here and lets the level-synchronous engine
+            path on the interpreted loop and lets the sharded path
             pick its vectorized frontier tier when it is in play;
             ``"vector"`` forces the level-synchronous engine with the
             numpy frontier kernels (strict: raises when the gate
@@ -665,9 +667,12 @@ def explore_station_states(
     Returns:
         An :class:`ExplorationResult` with the visited station states.
 
-    The serial path truncates at exactly ``max_configurations``
-    visited configurations, in BFS-FIFO order; the parallel engine
-    truncates at frontier-level granularity (see
+    Both paths run the level-synchronous engine of
+    :mod:`repro.checker.engine` with no property.  The serial path
+    (one in-process shard, interpreted tier) truncates at exactly
+    ``max_configurations`` visited configurations, cutting the last
+    level in its BFS-FIFO order; the parallel engine truncates at
+    frontier-level granularity (see
     :func:`repro.ioa.exploration_parallel.explore_station_states_parallel`),
     so truncated parallel results are deterministic for any worker
     count but can exceed the cap by up to one level.  Non-truncated
@@ -678,12 +683,13 @@ def explore_station_states(
             f"engine must be 'auto', 'vector' or 'interpreted', "
             f"got {engine!r}"
         )
+    from repro.ioa.exploration_parallel import (
+        explore_station_states_parallel,
+        run_exploration,
+    )
+
     if (parallel and parallel > 1) or checkpoint_every > 0 \
             or checkpoint_dir is not None or engine == "vector":
-        from repro.ioa.exploration_parallel import (
-            explore_station_states_parallel,
-        )
-
         return explore_station_states_parallel(
             sender,
             receiver,
@@ -696,160 +702,19 @@ def explore_station_states(
             resume=resume,
             engine=engine,
         )
-
-    started = time.perf_counter()
-    alphabet: List[Hashable] = list(message_alphabet)
-    result = ExplorationResult(packet_values={Direction.T2R: set(),
-                                              Direction.R2T: set()})
-    search = _InternedSearch(sender, receiver, alphabet, result)
-
-    initial = (
-        search.intern_sender(sender)
-        | (search.intern_receiver(receiver) << _S_RID)
-        # empty t->r / r->t value sets (set id 0), zero injected
-    )
-    seen: Set[int] = {initial}
-    queue: deque = deque([initial])
-
-    # Combined delta memos; see the module docstring.  Keys pack the
-    # fields each move class depends on into one int.
-    inject_memo: Dict[int, Tuple[int, ...]] = {}
-    output_memo: Dict[int, Optional[int]] = {}
-    deliver_memo: Dict[int, Tuple[int, ...]] = {}
-    ack_memo: Dict[int, Tuple[int, ...]] = {}
-
-    visited_sids: Set[int] = set()
-    visited_rids: Set[int] = set()
-    visited = 0
-    dup_skipped = 0
-
-    # Local bindings for the hot loop.
-    mask = _FIELD_MASK
-    seen_add = seen.add
-    queue_append = queue.append
-    queue_popleft = queue.popleft
-    mark_sid = visited_sids.add
-    mark_rid = visited_rids.add
-    inject_get = inject_memo.get
-    output_get = output_memo.get
-    deliver_get = deliver_memo.get
-    ack_get = ack_memo.get
-
-    def finalise() -> None:
-        result.configurations = visited
-        sender_keys = search.sender_keys
-        receiver_keys = search.receiver_keys
-        result.sender_states = {sender_keys[sid] for sid in visited_sids}
-        result.receiver_states = {
-            receiver_keys[rid] for rid in visited_rids
-        }
-        # Exact pair count over every configuration reached (including
-        # still-queued ones): a projection of `seen` onto the station
-        # id fields, which intern protocol-state keys one-to-one.
-        result.pair_count = len({cfg & _PAIR_MASK for cfg in seen})
-        elapsed = time.perf_counter() - started
-        result.perf = {
-            "elapsed_s": round(elapsed, 6),
-            "configs_per_sec": configs_per_sec(visited, elapsed),
-            "memo_hits": search.memo_hits,
-            "memo_misses": search.memo_misses,
-            "duplicate_successors_skipped": search.dup_skipped + dup_skipped,
-            "interned_sender_states": len(search.sender_keys),
-            "interned_receiver_states": len(search.receiver_keys),
-            "interned_packet_values": len(search.values),
-            "interned_value_sets": len(search.set_members),
-        }
-
     try:
-        while queue:
-            if visited >= max_configurations:
-                result.truncated = True
-                break
-            cfg = queue_popleft()
-            visited += 1
-            sid = cfg & mask
-            rid = (cfg >> _S_RID) & mask
-            t2r = (cfg >> _S_T2R) & mask
-            r2t = (cfg >> _S_R2T) & mask
-            mark_sid(sid)
-            mark_rid(rid)
-
-            # 1. Environment injects a new message.  The environment
-            # modelled here is the paper's one-outstanding-message
-            # regime: it submits only when the sender signals readiness
-            # (stations expose this via ``ready_for_message``; automata
-            # without the attribute accept submissions at any time).
-            if (cfg >> _S_INJ) < max_messages:
-                deltas = inject_get(sid)
-                if deltas is None:
-                    deltas = search.build_inject_deltas(sid)
-                    inject_memo[sid] = deltas
-                for delta in deltas:
-                    successor = cfg + delta
-                    if successor in seen:
-                        dup_skipped += 1
-                    else:
-                        seen_add(successor)
-                        queue_append(successor)
-
-            # 2. Sender fires its enabled output (a send_pkt^{t->r}).
-            key = sid | (t2r << _FIELD_BITS)
-            delta = output_get(key, _MISSING)
-            if delta is _MISSING:
-                delta = search.build_output_delta(sid, t2r)
-                output_memo[key] = delta
-            if delta is not None:
-                successor = cfg + delta
-                if successor in seen:
-                    dup_skipped += 1
-                else:
-                    seen_add(successor)
-                    queue_append(successor)
-
-            # 3. Channel delivers some value to the receiver
-            #    (set-abstraction: the value stays available
-            #    afterwards).  The receiver's resulting outputs are
-            #    flushed atomically, mirroring the engine's pump
-            #    discipline.
-            if t2r:
-                key = (
-                    rid | (t2r << _FIELD_BITS)
-                    | (r2t << (2 * _FIELD_BITS))
-                )
-                deltas = deliver_get(key)
-                if deltas is None:
-                    deltas = search.build_deliver_deltas(rid, t2r, r2t)
-                    deliver_memo[key] = deltas
-                for delta in deltas:
-                    successor = cfg + delta
-                    if successor in seen:
-                        dup_skipped += 1
-                    else:
-                        seen_add(successor)
-                        queue_append(successor)
-
-            # 4. Channel delivers some value to the sender.
-            if r2t:
-                key = sid | (r2t << _FIELD_BITS)
-                deltas = ack_get(key)
-                if deltas is None:
-                    deltas = search.build_ack_deltas(sid, r2t)
-                    ack_memo[key] = deltas
-                for delta in deltas:
-                    successor = cfg + delta
-                    if successor in seen:
-                        dup_skipped += 1
-                    else:
-                        seen_add(successor)
-                        queue_append(successor)
+        return run_exploration(
+            sender, receiver, message_alphabet,
+            report_engine=False,
+            max_messages=max_messages,
+            max_configurations=max_configurations,
+            workers=1,
+            use_processes=False,
+            engine_tier="interpreted",
+            exact_cut=True,
+        )
     except ExplorationCapacityError as exc:
-        # Don't discard the work done so far: finalise what was visited
-        # into a truncated partial result and attach it to the error.
-        result.truncated = True
-        finalise()
-        exc.partial = result
-        exc.configurations_seen = visited
+        # The serial entry point reports visits, not levels: its cut
+        # is mid-level.
+        exc.levels_completed = None
         raise
-
-    finalise()
-    return result

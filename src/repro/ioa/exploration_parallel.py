@@ -1,33 +1,27 @@
-"""Sharded, level-synchronous exploration with checkpoint/resume.
+"""Sharded exploration with checkpoint/resume.
 
-:func:`repro.ioa.exploration.explore_station_states` is a serial BFS.
-This module runs the same abstract search as a **bulk-synchronous
-parallel** computation: the configuration space is hash-partitioned
-across shards, each shard *owns* the configurations whose content
-digest lands in it, and the search proceeds in frontier *levels* --
-all configurations at BFS depth ``d`` are expanded before any at depth
-``d + 1``.
+:func:`explore_station_states_parallel` counts station states with the
+level-synchronous BFS engine of :mod:`repro.checker.engine` -- the
+engine :func:`repro.checker.check_protocol` runs, here with no
+property, no capacity, no delivered counter and no parents -- and maps
+the shards' finish reports onto an
+:class:`~repro.ioa.exploration.ExplorationResult`.  This module holds
+what that engine shares with exploration: the per-shard interned
+search with content digests (:class:`_ShardSearch`), the stable
+digests, the engine-tier resolver and the checkpoint file container.
 
-Level synchrony is what makes the parallel search exact: the set of
+The engine is a **bulk-synchronous parallel** computation: the
+configuration space is hash-partitioned across shards, each shard
+*owns* the configurations whose content digest lands in it, and the
+search proceeds in frontier *levels* -- all configurations at BFS
+depth ``d`` are expanded before any at depth ``d + 1``.  Level
+synchrony is what makes the parallel search exact: the set of
 configurations at each BFS level is a property of the protocol alone
 (successors of the previous level, minus everything already seen), so
 the visited sets, state counts and packet values are **identical for
 any shard count and any backend** on searches that run to completion.
 Only the *order* within a level depends on the partition, and nothing
 observable reads that order.
-
-Each round is one barrier (driven through
-:class:`repro.runtime.bsp.ShardedPool`):
-
-1. **adopt** -- every shard folds the configurations routed to it in
-   the previous round into its frontier, deduplicating against its
-   own seen-set (the owner is the single point of deduplication for
-   its configurations);
-2. **expand** -- every shard expands its frontier with the same
-   interned delta-memo kernel the serial path uses; successors it
-   owns go straight into its next frontier, successors owned by other
-   shards are encoded *portably* (interned table objects, so pickle's
-   memoisation compresses a batch) and returned for routing.
 
 Sharding is by a **stable content digest** (BLAKE2b over a canonical
 pickle) of the station protocol-states and channel value-sets --
@@ -36,7 +30,8 @@ computes the same owner for the same abstract configuration.  Set
 digests are commutative sums of member digests.  A digest collision
 only skews load balance; it can never merge two distinct
 configurations, because dedup happens on the owner's interned
-encoding, not the digest.
+encoding, not the digest.  Configurations cross shards *portably*
+(interned table objects, so pickle's memoisation compresses a batch).
 
 When the host has a single CPU (or ``workers <= 1``, or the automata
 don't pickle), the engine degrades to a single in-process shard: the
@@ -52,53 +47,42 @@ With checkpointing enabled, the coordinator snapshots every shard at
 level barriers -- intern tables, seen-sets (plain ints), frontier --
 every ``checkpoint_every`` levels, plus once at termination, whether
 complete or budget-truncated.  Checkpoints live under
-``<cache dir>/exploration/<key>.ckpt`` where the key hashes the
+``<cache dir>/exploration/<key>.ckpt`` where the key
+(:func:`repro.checker.engine.checker_checkpoint_key`) hashes the
 protocol, alphabet, budget-independent parameters, shard layout,
-:data:`repro.runtime.cache.KERNEL_VERSION` and the source digest --
-the same invalidation discipline as the result cache.  Because the
-key excludes ``max_configurations``, a budget-capped search *resumes*
-where it stopped when rerun with a larger budget: caps become
-incremental budgets instead of repeated work.
+engine tier and the source digest -- the same invalidation discipline
+as the result cache.  Because the key excludes ``max_configurations``,
+a budget-capped search *resumes* where it stopped when rerun with a
+larger budget: caps become incremental budgets instead of repeated
+work.
 
 Truncation is at level granularity: the search stops at the first
 level barrier at or past the budget, so a truncated run may visit up
 to one level more than ``max_configurations``.  Truncated results are
 still deterministic for any shard count; they differ from the serial
-path's exact-FIFO truncation, which stops mid-level.
+entry point's exact cut, which stops mid-level.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import logging
 import os
 import pickle
 import tempfile
 import time
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.ioa import vecfrontier
 from repro.ioa.actions import Direction
 from repro.ioa.automaton import IOAutomaton
 from repro.ioa.exploration import (
-    _FIELD_BITS,
-    _FIELD_MASK,
-    _MISSING,
-    _PAIR_MASK,
-    _S_INJ,
-    _S_R2T,
-    _S_RID,
-    _S_T2R,
-    ExplorationCapacityError,
     ExplorationResult,
     _InternedSearch,
     configs_per_sec,
 )
 
 __all__ = [
-    "CHECKPOINT_FORMAT",
-    "checkpoint_key",
     "checkpoint_path",
     "explore_station_states_parallel",
     "resolve_engine_tier",
@@ -109,8 +93,6 @@ __all__ = [
 #: its gate accepts, falling back silently to the interpreted loop;
 #: both tiers are bit-identical.
 ENGINE_TIERS = ("auto", "vector", "interpreted")
-
-CHECKPOINT_FORMAT = "repro-exploration-checkpoint/2"
 
 _DIGEST_MOD = 1 << 64
 
@@ -250,627 +232,80 @@ class _ShardSearch(_InternedSearch):
             set_id = self.extend_set(set_id, self.intern_value(value))
         return set_id
 
-
-# ----------------------------------------------------------------------
-# The per-shard worker
-# ----------------------------------------------------------------------
-
-class _ExplorationShard:
-    """Owns one hash-partition of the configuration space.
-
-    All mutable search state lives here -- in the child process under
-    the process backend, in the coordinator's process otherwise.  The
-    coordinator only ever talks to :meth:`handle`.
-    """
-
-    def __init__(self, index: int, num_shards: int, sender: IOAutomaton,
-                 receiver: IOAutomaton, alphabet: List[Hashable],
-                 max_messages: int, engine: str = "interpreted") -> None:
-        self.index = index
-        self.num_shards = num_shards
-        self.max_messages = max_messages
-        self.result = ExplorationResult(
-            packet_values={Direction.T2R: set(), Direction.R2T: set()}
-        )
-        self.search = _ShardSearch(
-            sender, receiver, list(alphabet), self.result,
-            track_digests=num_shards > 1,
-        )
-        # In vector mode the kernel owns the visited set (narrow
-        # packing) and adopt/expand/run_levels dispatch to the array
-        # twins in :mod:`repro.ioa.vecfrontier`.
-        self.engine = engine
-        self.kernel = (
-            vecfrontier.FrontierKernel(self.search, max_messages)
-            if engine == "vector" else None
-        )
-        self.seen: Set[int] = set()
-        self.frontier: List[int] = []
-        self.pending: List[int] = []
-        self.visited_sids: Set[int] = set()
-        self.visited_rids: Set[int] = set()
-        self.visited = 0
-        self.dup_skipped = 0
-        self.forwarded = 0
-        # Per-move delta memos, exactly as in the serial kernel.
-        self.inject_memo: Dict[int, Tuple[int, ...]] = {}
-        self.output_memo: Dict[int, Optional[int]] = {}
-        self.deliver_memo: Dict[int, Tuple[int, ...]] = {}
-        self.ack_memo: Dict[int, Tuple[int, ...]] = {}
-
-    # -- protocol ------------------------------------------------------
-    def handle(self, request: Tuple) -> Any:
-        op = request[0]
-        if op == "adopt":
-            return self.adopt(request[1])
-        if op == "expand":
-            return self.expand()
-        if op == "snapshot":
-            return self.snapshot()
-        if op == "restore":
-            return self.restore(request[1])
-        if op == "finish":
-            return self.finish()
-        raise ValueError(f"unknown shard request {op!r}")
-
-    # -- config plumbing -----------------------------------------------
-    def _config_digest(self, cfg: int) -> int:
-        s = self.search
-        return (
-            s.sender_dg[cfg & _FIELD_MASK]
-            + 3 * s.receiver_dg[(cfg >> _S_RID) & _FIELD_MASK]
-            + 5 * s.set_dg[(cfg >> _S_T2R) & _FIELD_MASK]
-            + 7 * s.set_dg[(cfg >> _S_R2T) & _FIELD_MASK]
-            + 11 * (cfg >> _S_INJ)
-        ) % _DIGEST_MOD
-
-    def _portable(self, cfg: int) -> Tuple:
-        """Shard-independent encoding of ``cfg``.
+    def portable(self, sid: int, rid: int, t2r: int, r2t: int,
+                 injected: int, delivered: int) -> Tuple:
+        """Shard-independent encoding of a configuration's fields.
 
         Ships the interned table objects themselves (keys, snapshots,
         values); within one pickled batch, repeats collapse to pickle
         memo references.
         """
-        s = self.search
-        sid = cfg & _FIELD_MASK
-        rid = (cfg >> _S_RID) & _FIELD_MASK
-        t2r = (cfg >> _S_T2R) & _FIELD_MASK
-        r2t = (cfg >> _S_R2T) & _FIELD_MASK
-        values = s.values
+        values = self.values
         return (
-            s.sender_keys[sid], s.sender_snaps[sid],
-            s.receiver_keys[rid], s.receiver_snaps[rid],
-            tuple(values[v] for v in s.set_members[t2r]),
-            tuple(values[v] for v in s.set_members[r2t]),
-            cfg >> _S_INJ,
+            self.sender_keys[sid], self.sender_snaps[sid],
+            self.receiver_keys[rid], self.receiver_snaps[rid],
+            tuple(values[v] for v in self.set_members[t2r]),
+            tuple(values[v] for v in self.set_members[r2t]),
+            injected, delivered,
         )
 
-    def _intern_portable(self, portable: Tuple) -> int:
-        s = self.search
-        skey, ssnap, rkey, rsnap, t2r_values, r2t_values, injected = portable
-        sid = s.sender_ids.get(skey)
+    def intern_portable(self, portable: Tuple) -> Tuple[int, ...]:
+        """Intern a :meth:`portable` encoding; returns its six field
+        values ``(sid, rid, t2r, r2t, injected, delivered)``."""
+        (skey, ssnap, rkey, rsnap, t2r_values, r2t_values,
+         injected, delivered) = portable
+        sid = self.sender_ids.get(skey)
         if sid is None:
-            sid = s._guard(len(s.sender_keys))
-            s.sender_ids[skey] = sid
-            s.sender_keys.append(skey)
-            s.sender_snaps.append(None if s.sender_fast else ssnap)
-            s.on_new_sender(sid)
-        rid = s.receiver_ids.get(rkey)
+            sid = self._guard(len(self.sender_keys))
+            self.sender_ids[skey] = sid
+            self.sender_keys.append(skey)
+            self.sender_snaps.append(None if self.sender_fast else ssnap)
+            self.on_new_sender(sid)
+        rid = self.receiver_ids.get(rkey)
         if rid is None:
-            rid = s._guard(len(s.receiver_keys))
-            s.receiver_ids[rkey] = rid
-            s.receiver_keys.append(rkey)
-            s.receiver_snaps.append(None if s.receiver_fast else rsnap)
-            s.on_new_receiver(rid)
+            rid = self._guard(len(self.receiver_keys))
+            self.receiver_ids[rkey] = rid
+            self.receiver_keys.append(rkey)
+            self.receiver_snaps.append(None if self.receiver_fast else rsnap)
+            self.on_new_receiver(rid)
         return (
-            sid
-            | (rid << _S_RID)
-            | (s.intern_value_set(t2r_values) << _S_T2R)
-            | (s.intern_value_set(r2t_values) << _S_R2T)
-            | (injected << _S_INJ)
+            sid, rid, self.intern_value_set(t2r_values),
+            self.intern_value_set(r2t_values), injected, delivered,
         )
 
-    # -- rounds --------------------------------------------------------
-    def adopt(self, inbound: List[Tuple]) -> int:
-        """Fold routed configurations in; swap in the next frontier."""
-        if self.kernel is not None:
-            return vecfrontier.adopt_vector(self, inbound)
-        frontier = self.pending
-        self.pending = []
-        seen = self.seen
-        multi = self.num_shards > 1
-        for portable in inbound:
-            cfg = self._intern_portable(portable)
-            if multi and self._config_digest(cfg) % self.num_shards \
-                    != self.index:
-                # Not ours (initial seeding broadcasts to everyone).
-                continue
-            if cfg in seen:
-                self.dup_skipped += 1
-            else:
-                seen.add(cfg)
-                frontier.append(cfg)
-        self.frontier = frontier
-        return len(frontier)
-
-    def expand(self) -> Dict[str, Any]:
-        """Expand the current frontier level; return routed successors."""
-        if self.kernel is not None:
-            return vecfrontier.expand_vector(self)
-        search = self.search
-        seen = self.seen
-        pending = self.pending
-        num_shards = self.num_shards
-        multi = num_shards > 1
-        max_messages = self.max_messages
-        mask = _FIELD_MASK
-        outbox: List[List[Tuple]] = [[] for _ in range(num_shards)]
-        outbox_dedupe: List[Set[int]] = [set() for _ in range(num_shards)]
-        mark_sid = self.visited_sids.add
-        mark_rid = self.visited_rids.add
-        inject_memo = self.inject_memo
-        output_memo = self.output_memo
-        deliver_memo = self.deliver_memo
-        ack_memo = self.ack_memo
-        dup_skipped = 0
-        forwarded = 0
-
-        def route(successor: int) -> None:
-            nonlocal dup_skipped, forwarded
-            if multi:
-                dest = self._config_digest(successor) % num_shards
-                if dest != self.index:
-                    dedupe = outbox_dedupe[dest]
-                    if successor in dedupe:
-                        dup_skipped += 1
-                    else:
-                        dedupe.add(successor)
-                        outbox[dest].append(self._portable(successor))
-                        forwarded += 1
-                    return
-            if successor in seen:
-                dup_skipped += 1
-            else:
-                seen.add(successor)
-                pending.append(successor)
-
-        for cfg in self.frontier:
-            sid = cfg & mask
-            rid = (cfg >> _S_RID) & mask
-            t2r = (cfg >> _S_T2R) & mask
-            r2t = (cfg >> _S_R2T) & mask
-            mark_sid(sid)
-            mark_rid(rid)
-            # The four move classes, in the serial kernel's order.
-            if (cfg >> _S_INJ) < max_messages:
-                deltas = inject_memo.get(sid)
-                if deltas is None:
-                    deltas = search.build_inject_deltas(sid)
-                    inject_memo[sid] = deltas
-                for delta in deltas:
-                    route(cfg + delta)
-            key = sid | (t2r << _FIELD_BITS)
-            delta = output_memo.get(key, _MISSING)
-            if delta is _MISSING:
-                delta = search.build_output_delta(sid, t2r)
-                output_memo[key] = delta
-            if delta is not None:
-                route(cfg + delta)
-            if t2r:
-                key = rid | (t2r << _FIELD_BITS) | (r2t << (2 * _FIELD_BITS))
-                deltas = deliver_memo.get(key)
-                if deltas is None:
-                    deltas = search.build_deliver_deltas(rid, t2r, r2t)
-                    deliver_memo[key] = deltas
-                for delta in deltas:
-                    route(cfg + delta)
-            if r2t:
-                key = sid | (r2t << _FIELD_BITS)
-                deltas = ack_memo.get(key)
-                if deltas is None:
-                    deltas = search.build_ack_deltas(sid, r2t)
-                    ack_memo[key] = deltas
-                for delta in deltas:
-                    route(cfg + delta)
-
-        expanded = len(self.frontier)
-        self.visited += expanded
-        self.dup_skipped += dup_skipped
-        self.forwarded += forwarded
-        self.frontier = []
-        return {
-            "expanded": expanded,
-            "outbox": outbox,
-            "own_next": len(pending),
+    def restore_tables(self, dump: Dict[str, Any]) -> None:
+        """Reload the intern tables of a shard snapshot; transition
+        memos restart empty."""
+        self.sender_keys = list(dump["sender_keys"])
+        self.sender_snaps = list(dump["sender_snaps"])
+        self.sender_ids = {key: i for i, key in enumerate(self.sender_keys)}
+        self.receiver_keys = list(dump["receiver_keys"])
+        self.receiver_snaps = list(dump["receiver_snaps"])
+        self.receiver_ids = {
+            key: i for i, key in enumerate(self.receiver_keys)
         }
-
-    def run_levels(self, max_configurations: int, checkpoint_every: int,
-                   save) -> Dict[str, Any]:
-        """Single-shard driver: many levels without round barriers.
-
-        The sharded backend pays one coordinator round per BFS level;
-        on near-chain searches (tens of thousands of levels of a few
-        configurations each) that overhead dwarfs the expansion work.
-        With one shard there is nothing to synchronise, so the
-        in-process backend runs this tight loop instead -- the serial
-        kernel with level-boundary bookkeeping.  Budget truncation and
-        checkpoints happen at exactly the same level barriers as the
-        coordinator loop, so results are identical.
-
-        Args:
-            max_configurations: visit budget (level-closure).
-            checkpoint_every: cadence in levels; ``0`` disables.
-            save: ``save(session_level, complete)`` callback, invoked
-                at barriers with ``self.frontier``/``self.visited``
-                current; ``None`` disables.
-        """
-        from collections import deque
-
-        if self.kernel is not None:
-            return vecfrontier.run_levels_vector(
-                self, max_configurations, checkpoint_every, save
-            )
-        search = self.search
-        seen = self.seen
-        queue = deque(self.frontier)
-        self.frontier = []
-        mask = _FIELD_MASK
-        max_messages = self.max_messages
-        seen_add = seen.add
-        queue_append = queue.append
-        queue_popleft = queue.popleft
-        mark_sid = self.visited_sids.add
-        mark_rid = self.visited_rids.add
-        inject_memo = self.inject_memo
-        output_memo = self.output_memo
-        deliver_memo = self.deliver_memo
-        ack_memo = self.ack_memo
-        inject_get = inject_memo.get
-        output_get = output_memo.get
-        deliver_get = deliver_memo.get
-        ack_get = ack_memo.get
-        visited = self.visited
-        dup_skipped = 0
-        level = 0
-        truncated = False
-        complete = False
-
-        def barrier_save(is_complete: bool) -> None:
-            nonlocal dup_skipped
-            self.visited = visited
-            self.dup_skipped += dup_skipped
-            dup_skipped = 0
-            self.frontier = list(queue)
-            save(level, is_complete)
-            self.frontier = []
-
-        while True:
-            if not queue:
-                complete = True
-                if save is not None:
-                    barrier_save(True)
-                break
-            if visited >= max_configurations:
-                truncated = True
-                if save is not None:
-                    barrier_save(False)
-                break
-            if (
-                save is not None
-                and level > 0
-                and level % checkpoint_every == 0
-            ):
-                barrier_save(False)
-            for _ in range(len(queue)):
-                cfg = queue_popleft()
-                visited += 1
-                sid = cfg & mask
-                rid = (cfg >> _S_RID) & mask
-                t2r = (cfg >> _S_T2R) & mask
-                r2t = (cfg >> _S_R2T) & mask
-                mark_sid(sid)
-                mark_rid(rid)
-                if (cfg >> _S_INJ) < max_messages:
-                    deltas = inject_get(sid)
-                    if deltas is None:
-                        deltas = search.build_inject_deltas(sid)
-                        inject_memo[sid] = deltas
-                    for delta in deltas:
-                        successor = cfg + delta
-                        if successor in seen:
-                            dup_skipped += 1
-                        else:
-                            seen_add(successor)
-                            queue_append(successor)
-                key = sid | (t2r << _FIELD_BITS)
-                delta = output_get(key, _MISSING)
-                if delta is _MISSING:
-                    delta = search.build_output_delta(sid, t2r)
-                    output_memo[key] = delta
-                if delta is not None:
-                    successor = cfg + delta
-                    if successor in seen:
-                        dup_skipped += 1
-                    else:
-                        seen_add(successor)
-                        queue_append(successor)
-                if t2r:
-                    key = (
-                        rid | (t2r << _FIELD_BITS)
-                        | (r2t << (2 * _FIELD_BITS))
-                    )
-                    deltas = deliver_get(key)
-                    if deltas is None:
-                        deltas = search.build_deliver_deltas(rid, t2r, r2t)
-                        deliver_memo[key] = deltas
-                    for delta in deltas:
-                        successor = cfg + delta
-                        if successor in seen:
-                            dup_skipped += 1
-                        else:
-                            seen_add(successor)
-                            queue_append(successor)
-                if r2t:
-                    key = sid | (r2t << _FIELD_BITS)
-                    deltas = ack_get(key)
-                    if deltas is None:
-                        deltas = search.build_ack_deltas(sid, r2t)
-                        ack_memo[key] = deltas
-                    for delta in deltas:
-                        successor = cfg + delta
-                        if successor in seen:
-                            dup_skipped += 1
-                        else:
-                            seen_add(successor)
-                            queue_append(successor)
-            level += 1
-
-        self.visited = visited
-        self.dup_skipped += dup_skipped
-        return {
-            "levels": level,
-            "visited": visited,
-            "truncated": truncated,
-            "complete": complete,
+        self.values = list(dump["values"])
+        self.value_ids = {value: i for i, value in enumerate(self.values)}
+        self.value_id_by_objid = {}
+        self._value_refs = []
+        self.set_members = list(dump["set_members"])
+        self.set_ids = {
+            members: i for i, members in enumerate(self.set_members)
         }
-
-    # -- checkpointing -------------------------------------------------
-    def snapshot(self) -> Dict[str, Any]:
-        """Portable dump of the shard (taken at an adopt barrier).
-
-        Always in the scalar packing: the vector tier converts its
-        narrow configs on the way out, so dumps are format-identical
-        across tiers (the checkpoint *key* still separates them).
-        """
-        s = self.search
-        if self.kernel is not None:
-            self.kernel.sync_visited(self)
-            seen = set(self.kernel.to_scalar_list(list(self.kernel.seen)))
-            frontier = self.kernel.to_scalar_list(self.frontier)
-        else:
-            seen = set(self.seen)
-            frontier = list(self.frontier)
-        return {
-            "sender_keys": list(s.sender_keys),
-            "sender_snaps": list(s.sender_snaps),
-            "receiver_keys": list(s.receiver_keys),
-            "receiver_snaps": list(s.receiver_snaps),
-            "values": list(s.values),
-            "set_members": list(s.set_members),
-            "packet_values": {
-                direction: set(values)
-                for direction, values in self.result.packet_values.items()
-            },
-            "seen": seen,
-            "frontier": frontier,
-            "visited_sids": set(self.visited_sids),
-            "visited_rids": set(self.visited_rids),
-            "visited": self.visited,
-            "dup_skipped": self.dup_skipped,
-            "forwarded": self.forwarded,
-            "memo_hits": s.memo_hits,
-            "memo_misses": s.memo_misses,
-        }
-
-    def restore(self, dump: Dict[str, Any]) -> bool:
-        s = self.search
-        s.sender_keys = list(dump["sender_keys"])
-        s.sender_snaps = list(dump["sender_snaps"])
-        s.sender_ids = {key: i for i, key in enumerate(s.sender_keys)}
-        s.receiver_keys = list(dump["receiver_keys"])
-        s.receiver_snaps = list(dump["receiver_snaps"])
-        s.receiver_ids = {key: i for i, key in enumerate(s.receiver_keys)}
-        s.values = list(dump["values"])
-        s.value_ids = {value: i for i, value in enumerate(s.values)}
-        s.value_id_by_objid = {}
-        s._value_refs = []
-        s.set_members = list(dump["set_members"])
-        s.set_ids = {members: i for i, members in enumerate(s.set_members)}
-        s.set_extend = {}
-        s.ready_memo = {}
-        s.msg_memo = {}
-        s.out_memo = {}
-        s.sender_rcv_memo = {}
-        s.receiver_rcv_memo = {}
-        s.memo_hits = dump["memo_hits"]
-        s.memo_misses = dump["memo_misses"]
-        s.rebuild_digests()
-        for direction, values in dump["packet_values"].items():
-            self.result.packet_values[direction] = set(values)
-        s.pv_t2r = self.result.packet_values[Direction.T2R]
-        s.pv_r2t = self.result.packet_values[Direction.R2T]
-        if self.kernel is not None:
-            # Fresh kernel over the restored tables; re-pack the dump's
-            # scalar configs narrow.  A dump too large for the narrow
-            # fields demotes (the coordinator restarts interpreted).
-            kernel = vecfrontier.FrontierKernel(
-                self.search, self.max_messages,
-                del_cap=self.kernel.del_cap,
-                capacity=self.kernel.capacity,
-            )
-            self.kernel = kernel
-            from_scalar = kernel.from_scalar
-            kernel.seen.buffer = {
-                from_scalar(cfg) for cfg in dump["seen"]
-            }
-            self.seen = set()
-            self.pending = [
-                from_scalar(cfg) for cfg in dump["frontier"]
-            ]
-        else:
-            self.seen = set(dump["seen"])
-            # The dumped frontier was adopted but not expanded; stage
-            # it as pending so the next adopt barrier swaps it back in.
-            self.pending = list(dump["frontier"])
-        self.frontier = []
-        self.visited_sids = set(dump["visited_sids"])
-        self.visited_rids = set(dump["visited_rids"])
-        self.visited = dump["visited"]
-        self.dup_skipped = dump["dup_skipped"]
-        self.forwarded = dump["forwarded"]
-        self.inject_memo = {}
-        self.output_memo = {}
-        self.deliver_memo = {}
-        self.ack_memo = {}
-        return True
-
-    # -- results -------------------------------------------------------
-    def finish(self) -> Dict[str, Any]:
-        s = self.search
-        sender_keys = s.sender_keys
-        receiver_keys = s.receiver_keys
-        mask = _FIELD_MASK
-        if self.kernel is not None:
-            kernel = self.kernel
-            kernel.sync_visited(self)
-            # Station-pair projection, vectorized over the seen runs
-            # (unique first: the key-tuple mapping then touches each
-            # distinct pair once, not each of the configs).
-            unique_pairs = kernel.unique_pairs()
-            pairs = (
-                set(unique_pairs)
-                if self.num_shards == 1
-                else {
-                    (sender_keys[p & kernel.m_sid],
-                     receiver_keys[(p >> kernel.sh_rid) & kernel.m_rid])
-                    for p in unique_pairs
-                }
-            )
-            return {
-                "sender_states": {
-                    sender_keys[sid] for sid in self.visited_sids
-                },
-                "receiver_states": {
-                    receiver_keys[rid] for rid in self.visited_rids
-                },
-                "pairs": pairs,
-                "packet_values": self.result.packet_values,
-                "visited": self.visited,
-                "dup_skipped": self.dup_skipped,
-                "forwarded": self.forwarded,
-                "memo_hits": s.memo_hits,
-                "memo_misses": s.memo_misses,
-                "interned_sender_states": len(sender_keys),
-                "interned_receiver_states": len(receiver_keys),
-                "interned_packet_values": len(s.values),
-                "interned_value_sets": len(s.set_members),
-                "frontier": kernel.perf_counters(),
-            }
-        return {
-            "sender_states": {sender_keys[sid] for sid in self.visited_sids},
-            "receiver_states": {
-                receiver_keys[rid] for rid in self.visited_rids
-            },
-            # Pair identity must survive the merge.  Across shards ids
-            # differ, so pairs are shipped as portable key tuples; with
-            # one shard the packed id pair is already canonical and
-            # avoids hashing every key tuple.
-            "pairs": (
-                {cfg & _PAIR_MASK for cfg in self.seen}
-                if self.num_shards == 1
-                else {
-                    (sender_keys[cfg & mask],
-                     receiver_keys[(cfg >> _S_RID) & mask])
-                    for cfg in self.seen
-                }
-            ),
-            "packet_values": self.result.packet_values,
-            "visited": self.visited,
-            "dup_skipped": self.dup_skipped,
-            "forwarded": self.forwarded,
-            "memo_hits": s.memo_hits,
-            "memo_misses": s.memo_misses,
-            "interned_sender_states": len(sender_keys),
-            "interned_receiver_states": len(receiver_keys),
-            "interned_packet_values": len(s.values),
-            "interned_value_sets": len(s.set_members),
-        }
-
-
-def _shard_factory(index: int, num_shards: int, *, sender, receiver,
-                   alphabet, max_messages, engine="interpreted"):
-    """Child-side construction of a shard (module-level: picklable)."""
-    shard = _ExplorationShard(
-        index, num_shards, sender, receiver, alphabet, max_messages,
-        engine=engine,
-    )
-    return shard.handle
+        self.set_extend = {}
+        self.ready_memo = {}
+        self.msg_memo = {}
+        self.out_memo = {}
+        self.sender_rcv_memo = {}
+        self.receiver_rcv_memo = {}
+        self.memo_hits = dump["memo_hits"]
+        self.memo_misses = dump["memo_misses"]
+        self.rebuild_digests()
 
 
 # ----------------------------------------------------------------------
 # Checkpoint files
 # ----------------------------------------------------------------------
-
-def _kernel_version() -> str:
-    # Read dynamically so a KERNEL_VERSION bump (or a test monkeypatch)
-    # invalidates exploration checkpoints exactly like cached results.
-    from repro.runtime import cache as cache_module
-
-    return cache_module.KERNEL_VERSION
-
-
-def _engine_tier_salt(engine_tier: Optional[str]) -> Tuple[str, str]:
-    """Checkpoint-key component separating BFS engine tiers.
-
-    ``None`` resolves like ``engine="auto"`` does (the vector tier
-    whenever its gate accepts), so key computations outside the
-    coordinator agree with default runs.  The vector tier's salt
-    carries :data:`repro.ioa.vecfrontier.FRONTIER_VERSION`: a frontier
-    generation bump invalidates vector-tier checkpoints exactly like a
-    ``KERNEL_VERSION`` bump invalidates them all, and a scalar-tier
-    checkpoint can never be resumed into a vector session (or vice
-    versa).
-    """
-    if engine_tier is None:
-        engine_tier = resolve_engine_tier("auto")
-    if engine_tier == "vector":
-        return ("vector", vecfrontier.FRONTIER_VERSION)
-    return ("interpreted", "")
-
-
-def checkpoint_key(sender: IOAutomaton, receiver: IOAutomaton,
-                   alphabet: List[Hashable], max_messages: int,
-                   num_shards: int, backend: str,
-                   engine_tier: Optional[str] = None) -> str:
-    """Content key of a checkpoint: everything that shapes the search
-    except the budget (so budgets are incremental), salted with
-    ``KERNEL_VERSION``, the source digest and the engine tier
-    (see :func:`_engine_tier_salt`)."""
-    from repro.runtime.cache import code_version
-
-    material = (
-        CHECKPOINT_FORMAT,
-        _kernel_version(),
-        code_version(),
-        type(sender).__module__, type(sender).__qualname__,
-        type(receiver).__module__, type(receiver).__qualname__,
-        sender.protocol_state(), receiver.protocol_state(),
-        tuple(alphabet), max_messages, num_shards, backend,
-        _engine_tier_salt(engine_tier),
-    )
-    blob = pickle.dumps(_canon(material), protocol=4)
-    return hashlib.sha256(blob).hexdigest()[:32]
-
 
 def checkpoint_path(checkpoint_dir: str, key: str) -> str:
     return os.path.join(checkpoint_dir, f"{key}.ckpt")
@@ -958,8 +393,7 @@ def _read_checkpoint_blob(path: str) -> Optional[bytes]:
 
 
 def _load_checkpoint(path: str, key: str, num_shards: int,
-                     fmt: str = CHECKPOINT_FORMAT
-                     ) -> Optional[Dict[str, Any]]:
+                     fmt: str) -> Optional[Dict[str, Any]]:
     blob = _read_checkpoint_blob(path)
     if blob is None:
         return None
@@ -987,7 +421,7 @@ def _load_checkpoint(path: str, key: str, num_shards: int,
 
 
 # ----------------------------------------------------------------------
-# The coordinator
+# The entry point
 # ----------------------------------------------------------------------
 
 def explore_station_states_parallel(
@@ -1040,341 +474,105 @@ def explore_station_states_parallel(
         ``configs_per_sec`` covers only this session's work.
     """
     tier = resolve_engine_tier(engine)
-    try:
-        return _explore_level_sync(
-            sender, receiver, message_alphabet, max_messages,
-            max_configurations, workers, use_processes,
-            checkpoint_every, checkpoint_dir, resume, tier,
-        )
-    except Exception as exc:
-        from repro.runtime.bsp import ShardWorkerError
-
-        # A narrow-field overflow mid-search demotes the whole run to
-        # the interpreted tier: results are identical, only the work
-        # done so far is repaid (overflow needs tens of thousands of
-        # distinct station states, so this is rare).
-        demoted = isinstance(exc, vecfrontier.FrontierDemotedError) or (
-            isinstance(exc, ShardWorkerError)
-            and "FrontierDemotedError" in str(exc)
-        )
-        if not demoted or tier != "vector":
-            raise
-        result = _explore_level_sync(
-            sender, receiver, message_alphabet, max_messages,
-            max_configurations, workers, use_processes,
-            checkpoint_every, checkpoint_dir, resume, "interpreted",
-        )
-        result.perf["engine"]["frontier"] = {
-            "tier": "interpreted",
-            "demoted": str(exc),
-        }
-        return result
+    if checkpoint_every > 0 and checkpoint_dir is None:
+        checkpoint_dir = _default_checkpoint_dir()
+    return run_exploration(
+        sender, receiver, message_alphabet,
+        max_messages=max_messages,
+        max_configurations=max_configurations,
+        workers=workers,
+        use_processes=use_processes,
+        checkpoint_every=checkpoint_every,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
+        engine_tier=tier,
+    )
 
 
-def _explore_level_sync(
-    sender: IOAutomaton,
-    receiver: IOAutomaton,
-    message_alphabet: Iterable[Hashable],
-    max_messages: int,
-    max_configurations: int,
-    workers: int,
-    use_processes: Optional[bool],
-    checkpoint_every: int,
-    checkpoint_dir: Optional[str],
-    resume: bool,
-    tier: str,
-) -> ExplorationResult:
+def run_exploration(sender: IOAutomaton, receiver: IOAutomaton,
+                    message_alphabet: Iterable[Hashable],
+                    report_engine: bool = True,
+                    **search: Any) -> ExplorationResult:
+    """Run the BFS engine with no property and read an
+    :class:`ExplorationResult` off its shards.
+
+    ``search`` are :func:`repro.checker.engine._run_search`'s keyword
+    arguments.  ``report_engine=False`` leaves the engine bookkeeping
+    out of ``perf`` (the serial entry point's flat report).
+    """
+    # The engine imports this module, so it is imported at call time.
+    from repro.checker.engine import _search
+
     started = time.perf_counter()
-    alphabet: List[Hashable] = list(message_alphabet)
-
-    cpus = os.cpu_count() or 1
-    picklable = True
-    if use_processes or (use_processes is None and workers >= 2
-                         and cpus >= 2):
-        try:
-            pickle.dumps((sender, receiver, alphabet))
-        except Exception:
-            picklable = False
-    if use_processes is None:
-        use_procs = workers >= 2 and cpus >= 2 and picklable
-    elif use_processes:
-        if not picklable:
-            raise ValueError(
-                "use_processes=True requires picklable automata and "
-                "alphabet"
-            )
-        use_procs = True
-    else:
-        use_procs = False
-    num_shards = max(1, workers) if use_procs else 1
-    backend = "process" if use_procs else "in-process"
-
-    checkpointing = checkpoint_every > 0 or checkpoint_dir is not None
-    if checkpointing:
-        if checkpoint_every <= 0:
-            checkpoint_every = 16
-        if checkpoint_dir is None:
-            checkpoint_dir = _default_checkpoint_dir()
-        key = checkpoint_key(
-            sender, receiver, alphabet, max_messages, num_shards, backend,
-            engine_tier=tier,
-        )
-        ckpt_path = checkpoint_path(checkpoint_dir, key)
-    else:
-        key = ""
-        ckpt_path = ""
-
-    state: Optional[Dict[str, Any]] = None
-    resumed_from = None
-    if checkpointing and resume and os.path.exists(ckpt_path):
-        state = _load_checkpoint(ckpt_path, key, num_shards)
-        if state is not None:
-            resumed_from = {
-                "level": state["level"],
-                "visited": state["visited"],
-                "complete": state["complete"],
-            }
-
-    pool = None
-    if use_procs:
-        factory = functools.partial(
-            _shard_factory,
-            sender=sender,
-            receiver=receiver,
-            alphabet=alphabet,
-            max_messages=max_messages,
-            engine=tier,
-        )
-        from repro.runtime.bsp import ShardedPool
-
-        pool = ShardedPool(num_shards, factory)
-
-        def request_all(payloads: List[Tuple]) -> List[Any]:
-            return pool.request_all(payloads)
-    else:
-        shard = _ExplorationShard(
-            0, 1, sender, receiver, alphabet, max_messages, engine=tier
-        )
-
-        def request_all(payloads: List[Tuple]) -> List[Any]:
-            return [shard.handle(payloads[0])]
-
-    checkpoints_written = 0
-    level = 0
-    visited_total = 0
-    try:
-        if state is not None:
-            request_all([
-                ("restore", dump) for dump in state["dumps"]
-            ])
-            level = state["level"]
-            visited_total = state["visited"]
-            inbound: List[List[Tuple]] = [[] for _ in range(num_shards)]
-        else:
-            level = 0
-            visited_total = 0
-            initial = (
-                sender.protocol_state(), sender.snapshot(),
-                receiver.protocol_state(), receiver.snapshot(),
-                (), (), 0,
-            )
-            # Broadcast the seed; each shard adopts it only if owner.
-            inbound = [[initial] for _ in range(num_shards)]
-        session_base = visited_total
-
-        complete = False
-        truncated = False
-        levels_this_session = 0
-
-        if not use_procs:
-            # Single shard: skip per-level coordinator rounds entirely.
-            # On near-chain searches (many tiny levels) the round
-            # plumbing costs more than the expansion work, so the shard
-            # runs its own tight level loop; barriers (budget,
-            # checkpoint cadence) are identical.
-            base_level = level
-            shard.adopt(inbound[0])
-
-            save = None
-            if checkpointing:
-                def save(session_level: int, is_complete: bool) -> None:
-                    nonlocal checkpoints_written
-                    _save_checkpoint(ckpt_path, {
-                        "format": CHECKPOINT_FORMAT,
-                        "key": key,
-                        "num_shards": num_shards,
-                        "backend": backend,
-                        "level": base_level + session_level,
-                        "visited": shard.visited,
-                        "complete": is_complete,
-                        "dumps": [shard.snapshot()],
-                    })
-                    checkpoints_written += 1
-
-            stats = shard.run_levels(
-                max_configurations, checkpoint_every, save
-            )
-            complete = stats["complete"]
-            truncated = stats["truncated"]
-            visited_total = stats["visited"]
-            levels_this_session = stats["levels"]
-            level = base_level + levels_this_session
-            finishes = request_all([("finish",)])
-            pool_done = True
-        else:
-            pool_done = False
-
-        def write_checkpoint(is_complete: bool) -> None:
-            nonlocal checkpoints_written
-            dumps = request_all([("snapshot",)] * num_shards)
-            _save_checkpoint(ckpt_path, {
-                "format": CHECKPOINT_FORMAT,
-                "key": key,
-                "num_shards": num_shards,
-                "backend": backend,
-                "level": level,
-                "visited": visited_total,
-                "complete": is_complete,
-                "dumps": dumps,
-            })
-            checkpoints_written += 1
-
-        while not pool_done:
-            sizes = request_all([
-                ("adopt", inbound[i]) for i in range(num_shards)
-            ])
-            inbound = [[] for _ in range(num_shards)]
-            if sum(sizes) == 0:
-                complete = True
-                if checkpointing:
-                    write_checkpoint(True)
-                break
-            if visited_total >= max_configurations:
-                truncated = True
-                if checkpointing:
-                    write_checkpoint(False)
-                break
-            if (
-                checkpointing
-                and levels_this_session > 0
-                and levels_this_session % checkpoint_every == 0
-            ):
-                write_checkpoint(False)
-            responses = request_all([("expand",)] * num_shards)
-            for response in responses:
-                visited_total += response["expanded"]
-                for dest, batch in enumerate(response["outbox"]):
-                    if batch:
-                        inbound[dest].extend(batch)
-            level += 1
-            levels_this_session += 1
-
-        if not pool_done:
-            finishes = request_all([("finish",)] * num_shards)
-    except Exception as exc:
-        from repro.runtime.bsp import ShardWorkerError
-
-        # An intern-table overflow must not discard the search's
-        # progress.  BSP workers survive handler exceptions (the error
-        # is reported, the worker keeps serving), so the shards can
-        # still be asked to finish; the merged partial result rides on
-        # the re-raised error.
-        if isinstance(exc, ExplorationCapacityError):
-            message = str(exc)
-        elif isinstance(exc, ShardWorkerError) \
-                and "ExplorationCapacityError" in str(exc):
-            message = str(exc)
-        else:
-            raise
-        partial: Optional[ExplorationResult] = None
-        configurations = visited_total
-        try:
-            partial_finishes = request_all([("finish",)] * num_shards)
-        except Exception:
-            partial_finishes = None
-        if partial_finishes is not None:
-            partial = ExplorationResult(
-                packet_values={Direction.T2R: set(), Direction.R2T: set()}
-            )
-            partial_pairs: Set[Tuple] = set()
-            for finish in partial_finishes:
-                partial.sender_states |= finish["sender_states"]
-                partial.receiver_states |= finish["receiver_states"]
-                partial_pairs |= finish["pairs"]
-                for direction, values in finish["packet_values"].items():
-                    partial.packet_values[direction] |= values
-            partial.pair_count = len(partial_pairs)
-            configurations = sum(f["visited"] for f in partial_finishes)
-            partial.configurations = configurations
-            partial.truncated = True
-        raise ExplorationCapacityError(
-            message,
-            partial=partial,
-            levels_completed=level,
-            configurations_seen=configurations,
-        ) from exc
-    finally:
-        if pool is not None:
-            pool.close()
-
-    result = ExplorationResult(
-        packet_values={Direction.T2R: set(), Direction.R2T: set()}
+    outcome = _search(
+        sender, receiver, list(message_alphabet), None, states=True,
+        **search,
     )
-    pairs: Set[Tuple] = set()
-    memo_hits = memo_misses = dup_skipped = forwarded = 0
-    interned = [0, 0, 0, 0]
-    for finish in finishes:
-        result.sender_states |= finish["sender_states"]
-        result.receiver_states |= finish["receiver_states"]
-        pairs |= finish["pairs"]
-        for direction, values in finish["packet_values"].items():
-            result.packet_values[direction] |= values
-        memo_hits += finish["memo_hits"]
-        memo_misses += finish["memo_misses"]
-        dup_skipped += finish["dup_skipped"]
-        forwarded += finish["forwarded"]
-        interned[0] += finish["interned_sender_states"]
-        interned[1] += finish["interned_receiver_states"]
-        interned[2] += finish["interned_packet_values"]
-        interned[3] += finish["interned_value_sets"]
-    frontier_perf = _merge_frontier_perf(
-        [f.get("frontier") for f in finishes], tier
+    finishes = outcome["finishes"]
+    result = merge_finishes(
+        finishes, outcome["truncated"] and not outcome["complete"]
     )
-
-    result.configurations = visited_total
-    result.truncated = truncated and not complete
-    result.pair_count = len(pairs)
-
     elapsed = time.perf_counter() - started
-    session_visited = visited_total - session_base
+    session_visited = outcome["session_visited"]
+
+    def total(key: str) -> int:
+        return sum(finish[key] for finish in finishes)
+
     result.perf = {
         "elapsed_s": round(elapsed, 6),
         "configs_per_sec": configs_per_sec(session_visited, elapsed),
-        "memo_hits": memo_hits,
-        "memo_misses": memo_misses,
-        "duplicate_successors_skipped": dup_skipped,
-        "interned_sender_states": interned[0],
-        "interned_receiver_states": interned[1],
-        "interned_packet_values": interned[2],
-        "interned_value_sets": interned[3],
-        "engine": {
-            "name": "level-sync-sharded",
-            "backend": backend,
-            "workers_requested": workers,
-            "shards": num_shards,
-            "cpus": cpus,
-            "picklable": picklable,
-            "levels": level,
-            "levels_this_session": levels_this_session,
-            "session_configurations": session_visited,
-            "cross_shard_forwards": forwarded,
-            "checkpointing": checkpointing,
-            "checkpoints_written": checkpoints_written,
-            "resumed_from": resumed_from,
-            "frontier": frontier_perf,
-        },
+        "memo_hits": total("memo_hits"),
+        "memo_misses": total("memo_misses"),
+        "duplicate_successors_skipped": total("dup_skipped"),
+        "interned_sender_states": total("interned_sender_states"),
+        "interned_receiver_states": total("interned_receiver_states"),
+        "interned_packet_values": total("interned_packet_values"),
+        "interned_value_sets": total("interned_value_sets"),
     }
+    if report_engine:
+        engine = outcome["engine"]
+        result.perf["engine"] = {
+            "name": "level-sync-sharded",
+            "backend": engine["backend"],
+            "workers_requested": engine["workers_requested"],
+            "shards": engine["shards"],
+            "cpus": engine["cpus"],
+            "picklable": engine["picklable"],
+            "levels": engine["levels"],
+            "levels_this_session": engine["levels_this_session"],
+            "session_configurations": session_visited,
+            "cross_shard_forwards": total("forwarded"),
+            "checkpointing": engine["checkpointing"],
+            "checkpoints_written": engine["checkpoints_written"],
+            "resumed_from": engine["resumed_from"],
+            "frontier": engine["frontier"],
+        }
     return result
+
+
+def merge_finishes(finishes: List[Dict[str, Any]],
+                   truncated: bool) -> ExplorationResult:
+    """Map the engine's per-shard ``finish`` reports (taken with
+    ``states``) onto an :class:`ExplorationResult`."""
+
+    def union(key: str) -> set:
+        # One shard's sets are already complete; skip copying them.
+        sets = [finish[key] for finish in finishes]
+        return sets[0] if len(sets) == 1 else set().union(*sets)
+
+    return ExplorationResult(
+        sender_states=union("sender_keys"),
+        receiver_states=union("receiver_keys"),
+        pair_count=len(union("pairs")),
+        configurations=sum(finish["visited"] for finish in finishes),
+        truncated=truncated,
+        packet_values={
+            direction: set().union(*(
+                finish["packet_values"][direction] for finish in finishes
+            ))
+            for direction in (Direction.T2R, Direction.R2T)
+        },
+    )
 
 
 def _merge_frontier_perf(
@@ -1395,7 +593,6 @@ def _merge_frontier_perf(
     unique_new = sum(p["unique_new"] for p in shards)
     merged = {
         "tier": "vector",
-        "frontier_version": shards[0]["frontier_version"],
         "wide": any(p["wide"] for p in shards),
         "frontier_batches": sum(p["frontier_batches"] for p in shards),
         "generated_successors": generated,

@@ -1,22 +1,24 @@
 """Vectorized frontier tier for the level-synchronous BFS.
 
-The sharded exploration engine (:mod:`repro.ioa.exploration_parallel`)
-and the bounded checker built on it (:mod:`repro.checker.engine`)
-expand one packed-integer configuration at a time in Python, even
-though delta-memoisation already reduced every successor to ``config +
-precomputed integer delta``.  This module is the frontier analogue of
+The BFS engine (:mod:`repro.checker.engine`, which also runs every
+exploration as a check with no property) expands one packed-integer
+configuration at a time in Python, even though delta-memoisation
+already reduced every successor to ``config + precomputed integer
+delta``.  This module is the frontier analogue of
 :mod:`repro.core.vectrials`: it runs whole BFS levels as numpy array
-programs.
+programs.  It supplies the vector tier's level hooks to the engine's
+one shard class -- the narrow-mode level loop, the array level, the
+sharded round (:func:`expand_vector`) and the portable codecs -- while
+the engine keeps the level barriers.
 
-* **narrow packing** -- the scalar kernels pack five (checker: six)
-  24-bit interning ids into one Python bigint; bigints cannot live in
-  an int64 ndarray.  The vector tier therefore re-packs the *same*
-  interning ids into 63 bits with per-run field widths sized from the
-  injection budget and delivered-counter cap
-  (:class:`FrontierKernel`).  Both packings share the id spaces, so
-  narrow <-> scalar conversion is a pure field remap and every
-  checkpoint/snapshot stays in the scalar format the interpreted tier
-  reads.
+* **narrow packing** -- the scalar kernels pack six 24-bit interning
+  ids into one Python bigint; bigints cannot live in an int64 ndarray.
+  The vector tier therefore re-packs the *same* interning ids into 63
+  bits with per-run field widths sized from the injection budget and
+  delivered-counter cap (:class:`FrontierKernel`).  Both packings
+  share the id spaces, so narrow <-> scalar conversion is a pure field
+  remap and every checkpoint/snapshot stays in the scalar format the
+  interpreted tier reads.
 * **delta tables** -- each move class (inject, sender output, t->r
   delivery, r->t ack) keeps its delta memo twice: the scalar kernels'
   ``key -> tuple(deltas)`` dict, and a CSR mirror (``starts``,
@@ -55,12 +57,8 @@ raises.  If an interning table outgrows its narrow field mid-search
 the run is *demoted*: the coordinator restarts it on the interpreted
 tier from scratch (narrow overflow needs tens of thousands of distinct
 station states, so the restart is rare) and records the demotion in
-``perf``.
-
-``FRONTIER_VERSION`` is salted into the runtime result cache and --
-joined with the engine tier -- into exploration/checker checkpoint
-keys, so checkpoints written by one tier generation are never silently
-resumed by another.
+``perf``.  Checkpoint keys carry the tier name, so a checkpoint
+written by one tier is never resumed by the other.
 """
 
 from __future__ import annotations
@@ -77,11 +75,6 @@ from repro.ioa.exploration import (
     _S_RID,
     _S_T2R,
 )
-
-#: Generation stamp of the vectorized frontier tier.  Salted into the
-#: runtime result cache and into checkpoint keys alongside the engine
-#: tier; bump on any change to what the array kernels compute.
-FRONTIER_VERSION = "repro-frontier/1"
 
 #: Frontier width at which a search switches (one-way) from the
 #: narrow-mode interpreted loop to array kernels.  Below this, numpy
@@ -797,7 +790,6 @@ class FrontierKernel:
         )
         return {
             "tier": "vector",
-            "frontier_version": FRONTIER_VERSION,
             "wide": self.wide,
             "frontier_batches": self.batches,
             "generated_successors": self.generated,
@@ -809,137 +801,28 @@ class FrontierKernel:
 
 
 # ---------------------------------------------------------------------------
-# Level drivers (single-shard tight loops) and sharded-round hooks
+# Level hooks of the engine's shard (repro.checker.engine._CheckerShard)
 # ---------------------------------------------------------------------------
-
-def _expand_narrow_level(shard: Any, kernel: FrontierKernel,
-                         frontier: List[int],
-                         next_frontier: List[int]) -> int:
-    """Interpreted expansion of one narrow-mode level.
-
-    The same loop shape (and local-binding discipline) as the scalar
-    kernels' ``run_levels``, on narrow ints and the kernel's dict
-    memos.  New successors are deduped against the seen-set's plain
-    buffer inline -- before :meth:`FrontierKernel.go_wide` the buffer
-    *is* the whole set unless a disk spill ran, and the rare
-    spilled-run probe takes the slow path.  Appends new configs to
-    ``next_frontier`` and returns the duplicate count.  Counted as
-    ``fallback_expansions``.
-    """
-    mm = kernel.max_messages
-    sh_rid, sh_t2r, sh_r2t = kernel.sh_rid, kernel.sh_t2r, kernel.sh_r2t
-    sh_inj, sh_del = kernel.sh_inj, kernel.sh_del
-    m_sid, m_rid, m_set = kernel.m_sid, kernel.m_rid, kernel.m_set
-    m_inj = kernel.m_inj
-    del_cap = kernel.del_cap
-    inject_memo = kernel.t_inject.memo
-    output_memo = kernel.t_output.memo
-    deliver_memo = kernel.t_deliver.memo
-    ack_memo = kernel.t_ack.memo
-    mark_sid = shard.visited_sids.add
-    mark_rid = shard.visited_rids.add
-    seen = kernel.seen
-    buffer = seen.buffer
-    buffer_add = buffer.add
-    runs = seen.runs
-    append = next_frontier.append
-    dup = 0
-
-    for cfg in frontier:
-        sid = cfg & m_sid
-        rid = (cfg >> sh_rid) & m_rid
-        t2r = (cfg >> sh_t2r) & m_set
-        r2t = (cfg >> sh_r2t) & m_set
-        mark_sid(sid)
-        mark_rid(rid)
-        if ((cfg >> sh_inj) & m_inj) < mm:
-            deltas = inject_memo.get(sid)
-            if deltas is None:
-                deltas = kernel.resolve_inject(sid)
-                inject_memo[sid] = deltas
-                kernel.guard()
-            for delta in deltas:
-                successor = cfg + delta
-                if successor in buffer or (runs and successor in seen):
-                    dup += 1
-                else:
-                    buffer_add(successor)
-                    append(successor)
-        key = sid | (t2r << _FIELD_BITS)
-        delta = output_memo.get(key, _UNRESOLVED)
-        if delta is _UNRESOLVED:
-            delta = kernel.resolve_output(sid, t2r)
-            output_memo[key] = delta
-            kernel.guard()
-        if delta is not None:
-            successor = cfg + delta
-            if successor in buffer or (runs and successor in seen):
-                dup += 1
-            else:
-                buffer_add(successor)
-                append(successor)
-        if t2r:
-            key = rid | (t2r << _FIELD_BITS) | (r2t << (2 * _FIELD_BITS))
-            entries = deliver_memo.get(key)
-            if entries is None:
-                entries = kernel.resolve_deliver(rid, t2r, r2t)
-                deliver_memo[key] = entries
-                kernel.guard()
-            if del_cap:
-                d = cfg >> sh_del
-                for delta, dcount in entries:
-                    nd = d + dcount
-                    if nd > del_cap:
-                        nd = del_cap
-                    successor = cfg + delta + ((nd - d) << sh_del)
-                    if successor in buffer or (runs and successor in seen):
-                        dup += 1
-                    else:
-                        buffer_add(successor)
-                        append(successor)
-            else:
-                for delta in entries:
-                    successor = cfg + delta
-                    if successor in buffer or (runs and successor in seen):
-                        dup += 1
-                    else:
-                        buffer_add(successor)
-                        append(successor)
-        if r2t:
-            key = sid | (r2t << _FIELD_BITS)
-            deltas = ack_memo.get(key)
-            if deltas is None:
-                deltas = kernel.resolve_ack(sid, r2t)
-                ack_memo[key] = deltas
-                kernel.guard()
-            for delta in deltas:
-                successor = cfg + delta
-                if successor in buffer or (runs and successor in seen):
-                    dup += 1
-                else:
-                    buffer_add(successor)
-                    append(successor)
-    kernel.fallback_expansions += len(frontier)
-    if seen.directory is not None \
-            and len(buffer) >= seen.spill_threshold:
-        seen.flush_buffer()
-    return dup
-
 
 def _expand_narrow_level_check(shard: Any, kernel: FrontierKernel,
                                frontier: List[int],
                                next_frontier: List[int]) -> Tuple[int, int]:
-    """Checker twin of :func:`_expand_narrow_level`.
+    """Interpreted expansion of one narrow-mode level.
 
-    Adds the checker's capacity pruning (successors whose channel
-    value-set would exceed ``kernel.capacity`` are dropped, counted
-    separately from duplicates -- a seen config always passed the
-    capacity check when first admitted, so the two classes are
-    disjoint) on top of the delivered-count folding the base loop
-    already has.  Returns ``(duplicates, pruned)``.
+    The same loop shape (and local-binding discipline) as the scalar
+    tier's ``run_levels_check``, on narrow ints and the kernel's dict
+    memos, with the checker's delivered-count folding and capacity pruning
+    (successors whose channel value-set would exceed
+    ``kernel.capacity`` are dropped, counted separately from duplicates
+    -- a seen config always passed the capacity check when first
+    admitted, so the two classes are disjoint).  New successors are
+    deduped against the seen-set's plain buffer inline -- before
+    :meth:`FrontierKernel.go_wide` the buffer *is* the whole set unless
+    a disk spill ran, and the rare spilled-run probe takes the slow
+    path.  Appends new configs to ``next_frontier`` and returns
+    ``(duplicates, pruned)``.  Counted as ``fallback_expansions``.
     """
-    s = shard.search
-    set_members = s.set_members
+    set_members = shard.search.set_members
     mm = kernel.max_messages
     sh_rid, sh_t2r, sh_r2t = kernel.sh_rid, kernel.sh_t2r, kernel.sh_r2t
     sh_inj, sh_del = kernel.sh_inj, kernel.sh_del
@@ -961,18 +844,11 @@ def _expand_narrow_level_check(shard: Any, kernel: FrontierKernel,
     dup = 0
     pruned = 0
 
-    def admit(successor: int) -> None:
-        nonlocal dup, pruned
-        if successor in buffer or (runs and successor in seen):
-            dup += 1
-        elif capacity is not None and (
-            len(set_members[(successor >> sh_t2r) & m_set]) > capacity
-            or len(set_members[(successor >> sh_r2t) & m_set]) > capacity
-        ):
-            pruned += 1
-        else:
-            buffer_add(successor)
-            append(successor)
+    def over(cfg):
+        return (
+            len(set_members[(cfg >> sh_t2r) & m_set]) > capacity
+            or len(set_members[(cfg >> sh_r2t) & m_set]) > capacity
+        )
 
     for cfg in frontier:
         sid = cfg & m_sid
@@ -988,7 +864,14 @@ def _expand_narrow_level_check(shard: Any, kernel: FrontierKernel,
                 inject_memo[sid] = deltas
                 kernel.guard()
             for delta in deltas:
-                admit(cfg + delta)
+                successor = cfg + delta
+                if successor in buffer or (runs and successor in seen):
+                    dup += 1
+                elif capacity is not None and over(successor):
+                    pruned += 1
+                else:
+                    buffer_add(successor)
+                    append(successor)
         key = sid | (t2r << _FIELD_BITS)
         delta = output_memo.get(key, _UNRESOLVED)
         if delta is _UNRESOLVED:
@@ -996,7 +879,14 @@ def _expand_narrow_level_check(shard: Any, kernel: FrontierKernel,
             output_memo[key] = delta
             kernel.guard()
         if delta is not None:
-            admit(cfg + delta)
+            successor = cfg + delta
+            if successor in buffer or (runs and successor in seen):
+                dup += 1
+            elif capacity is not None and over(successor):
+                pruned += 1
+            else:
+                buffer_add(successor)
+                append(successor)
         if t2r:
             key = rid | (t2r << _FIELD_BITS) | (r2t << (2 * _FIELD_BITS))
             entries = deliver_memo.get(key)
@@ -1005,15 +895,21 @@ def _expand_narrow_level_check(shard: Any, kernel: FrontierKernel,
                 deliver_memo[key] = entries
                 kernel.guard()
             if del_cap:
+                # (delta, dcount) pairs: fold the saturating count.
                 d = cfg >> sh_del
-                for delta, dcount in entries:
-                    nd = d + dcount
-                    if nd > del_cap:
-                        nd = del_cap
-                    admit(cfg + delta + ((nd - d) << sh_del))
-            else:
-                for delta in entries:
-                    admit(cfg + delta)
+                entries = [
+                    delta + ((min(d + dcount, del_cap) - d) << sh_del)
+                    for delta, dcount in entries
+                ]
+            for delta in entries:
+                successor = cfg + delta
+                if successor in buffer or (runs and successor in seen):
+                    dup += 1
+                elif capacity is not None and over(successor):
+                    pruned += 1
+                else:
+                    buffer_add(successor)
+                    append(successor)
         if r2t:
             key = sid | (r2t << _FIELD_BITS)
             deltas = ack_memo.get(key)
@@ -1022,7 +918,14 @@ def _expand_narrow_level_check(shard: Any, kernel: FrontierKernel,
                 ack_memo[key] = deltas
                 kernel.guard()
             for delta in deltas:
-                admit(cfg + delta)
+                successor = cfg + delta
+                if successor in buffer or (runs and successor in seen):
+                    dup += 1
+                elif capacity is not None and over(successor):
+                    pruned += 1
+                else:
+                    buffer_add(successor)
+                    append(successor)
     kernel.fallback_expansions += len(frontier)
     if seen.directory is not None \
             and len(buffer) >= seen.spill_threshold:
@@ -1030,7 +933,7 @@ def _expand_narrow_level_check(shard: Any, kernel: FrontierKernel,
     return dup, pruned
 
 
-def _expand_wide_level(shard: Any, kernel: FrontierKernel,
+def _expand_wide_level(kernel: FrontierKernel,
                        frontier) -> Tuple[Any, int, int]:
     """Array expansion of one level.
 
@@ -1052,155 +955,26 @@ def _expand_wide_level(shard: Any, kernel: FrontierKernel,
     return new, dup, pruned
 
 
-def run_levels_vector(shard: Any, max_configurations: int,
-                      checkpoint_every: int, save) -> Dict[str, Any]:
-    """Vector twin of ``_ExplorationShard.run_levels``.
-
-    Same barrier semantics (budget truncation and checkpoint cadence
-    at level closures), same counters; levels below
-    :data:`FRONTIER_WIDE_THRESHOLD` run the interpreted narrow loop,
-    wider levels the array kernels (one-way switch).
-    """
-    kernel: FrontierKernel = shard.kernel
-    np = kernel.np
-    frontier: List[int] = list(shard.frontier)
-    shard.frontier = []
-    frontier_arr = None
-    visited = shard.visited
-    dup_skipped = 0
-    level = 0
-    truncated = False
-    complete = False
-
-    def barrier_save(is_complete: bool) -> None:
-        nonlocal dup_skipped, frontier
-        shard.visited = visited
-        shard.dup_skipped += dup_skipped
-        dup_skipped = 0
-        if frontier_arr is not None:
-            frontier = frontier_arr.tolist()
-        shard.frontier = list(frontier)
-        save(level, is_complete)
-        shard.frontier = []
-
-    while True:
-        width = (
-            len(frontier_arr) if frontier_arr is not None
-            else len(frontier)
-        )
-        if width == 0:
-            complete = True
-            if save is not None:
-                barrier_save(True)
-            break
-        if visited >= max_configurations:
-            truncated = True
-            if save is not None:
-                barrier_save(False)
-            break
-        if (
-            save is not None
-            and level > 0
-            and level % checkpoint_every == 0
-        ):
-            barrier_save(False)
-        if kernel.wide or width >= FRONTIER_WIDE_THRESHOLD:
-            if not kernel.wide:
-                kernel.go_wide()
-            if frontier_arr is None:
-                frontier_arr = np.asarray(frontier, dtype=np.int64)
-                frontier = []
-            visited += len(frontier_arr)
-            frontier_arr, dup, pruned = _expand_wide_level(
-                shard, kernel, frontier_arr
-            )
-            dup_skipped += dup
-        else:
-            visited += len(frontier)
-            next_frontier: List[int] = []
-            dup_skipped += _expand_narrow_level(
-                shard, kernel, frontier, next_frontier
-            )
-            frontier = next_frontier
-        level += 1
-
-    shard.visited = visited
-    shard.dup_skipped += dup_skipped
-    return {
-        "levels": level,
-        "visited": visited,
-        "truncated": truncated,
-        "complete": complete,
-    }
-
-
-def adopt_vector(shard: Any, inbound: List[Tuple]) -> int:
-    """Vector twin of ``_ExplorationShard.adopt`` (narrow configs)."""
-    kernel: FrontierKernel = shard.kernel
-    frontier = shard.pending
-    shard.pending = []
-    seen = kernel.seen
-    multi = shard.num_shards > 1
-    for portable in inbound:
-        cfg = intern_portable_narrow(shard, portable)
-        if multi and int(kernel.digests(
-            kernel.np.asarray([cfg], dtype=kernel.np.int64)
-        )[0]) % shard.num_shards != shard.index:
-            continue
-        if cfg in seen:
-            shard.dup_skipped += 1
-        else:
-            seen.add(cfg)
-            frontier.append(cfg)
-    shard.frontier = frontier
-    return len(frontier)
-
-
 def intern_portable_narrow(shard: Any, portable: Tuple) -> int:
-    """Intern a portable config and pack it narrow.
-
-    Mirrors ``_ExplorationShard._intern_portable`` (same interning
-    side effects, narrow packing); the checker's 8-tuple portables
-    carry the delivered counter as the trailing element.
-    """
+    """Intern a portable config and pack it narrow (the scalar tier's
+    ``_intern_portable`` with the kernel's packing)."""
     kernel: FrontierKernel = shard.kernel
-    s = shard.search
-    skey, ssnap, rkey, rsnap, t2r_values, r2t_values = portable[:6]
-    injected = portable[6]
-    delivered = portable[7] if len(portable) > 7 else 0
-    sid = s.sender_ids.get(skey)
-    if sid is None:
-        sid = s._guard(len(s.sender_keys))
-        s.sender_ids[skey] = sid
-        s.sender_keys.append(skey)
-        s.sender_snaps.append(None if s.sender_fast else ssnap)
-        s.on_new_sender(sid)
-    rid = s.receiver_ids.get(rkey)
-    if rid is None:
-        rid = s._guard(len(s.receiver_keys))
-        s.receiver_ids[rkey] = rid
-        s.receiver_keys.append(rkey)
-        s.receiver_snaps.append(None if s.receiver_fast else rsnap)
-        s.on_new_receiver(rid)
-    t2r = s.intern_value_set(t2r_values)
-    r2t = s.intern_value_set(r2t_values)
+    fields = shard.search.intern_portable(portable)
     kernel.guard()
-    return kernel.pack(sid, rid, t2r, r2t, injected, delivered)
+    return kernel.pack(*fields)
 
 
-def expand_vector(shard: Any, wrap_meta: bool = False) -> Dict[str, Any]:
-    """Vector twin of ``_ExplorationShard.expand`` (one sharded round).
+def expand_vector(shard: Any) -> Dict[str, Any]:
+    """Vector twin of the shard's ``expand`` (one sharded round).
 
     The whole level expands through the array kernels; unique
-    candidates route by digest, foreign ones ship as portables.  With
-    ``wrap_meta`` each outbox entry is a ``(portable, None)`` pair --
-    the checker's inbound shape (parent metadata is interpreted-only,
-    so it is always ``None`` here).
+    candidates route by digest, foreign ones ship as
+    ``(portable, None)`` pairs -- parent metadata is interpreted-only,
+    so it is always ``None`` here.
     """
     kernel: FrontierKernel = shard.kernel
     np = kernel.np
     num_shards = shard.num_shards
-    multi = num_shards > 1
     frontier = np.asarray(shard.frontier, dtype=np.int64)
     expanded = len(frontier)
 
@@ -1215,7 +989,7 @@ def expand_vector(shard: Any, wrap_meta: bool = False) -> Dict[str, Any]:
         kernel._rid_mask[(frontier >> kernel.sh_rid) & kernel.m_rid] = True
         if len(candidates):
             unique = np.unique(candidates)
-            if multi:
+            if num_shards > 1:
                 dest = (
                     kernel.digests(unique) % np.uint64(num_shards)
                 ).astype(np.int64)
@@ -1224,19 +998,11 @@ def expand_vector(shard: Any, wrap_meta: bool = False) -> Dict[str, Any]:
                     if shard_index == shard.index:
                         continue
                     batch = unique[dest == shard_index]
-                    if len(batch):
-                        portables = [
-                            narrow_portable(shard, int(cfg))
-                            for cfg in batch
-                        ]
-                        if wrap_meta:
-                            outbox[shard_index].extend(
-                                (portable, None)
-                                for portable in portables
-                            )
-                        else:
-                            outbox[shard_index].extend(portables)
-                        forwarded += len(batch)
+                    outbox[shard_index].extend(
+                        (narrow_portable(shard, int(cfg)), None)
+                        for cfg in batch
+                    )
+                    forwarded += len(batch)
             else:
                 own = unique
             new = kernel.seen.filter_new(own)
@@ -1248,8 +1014,7 @@ def expand_vector(shard: Any, wrap_meta: bool = False) -> Dict[str, Any]:
     shard.visited += expanded
     shard.dup_skipped += dup
     shard.forwarded += forwarded
-    if hasattr(shard, "pruned"):
-        shard.pruned += pruned
+    shard.pruned += pruned
     shard.frontier = []
     return {
         "expanded": expanded,
@@ -1261,19 +1026,11 @@ def expand_vector(shard: Any, wrap_meta: bool = False) -> Dict[str, Any]:
 def narrow_portable(shard: Any, cfg: int) -> Tuple:
     """Portable encoding of a narrow config (see ``_portable``)."""
     kernel: FrontierKernel = shard.kernel
-    s = shard.search
-    sid = cfg & kernel.m_sid
-    rid = (cfg >> kernel.sh_rid) & kernel.m_rid
-    t2r = (cfg >> kernel.sh_t2r) & kernel.m_set
-    r2t = (cfg >> kernel.sh_r2t) & kernel.m_set
-    values = s.values
-    base = (
-        s.sender_keys[sid], s.sender_snaps[sid],
-        s.receiver_keys[rid], s.receiver_snaps[rid],
-        tuple(values[v] for v in s.set_members[t2r]),
-        tuple(values[v] for v in s.set_members[r2t]),
+    return shard.search.portable(
+        cfg & kernel.m_sid,
+        (cfg >> kernel.sh_rid) & kernel.m_rid,
+        (cfg >> kernel.sh_t2r) & kernel.m_set,
+        (cfg >> kernel.sh_r2t) & kernel.m_set,
         (cfg >> kernel.sh_inj) & kernel.m_inj,
+        cfg >> kernel.sh_del,
     )
-    if kernel.del_cap:
-        return base + (cfg >> kernel.sh_del,)
-    return base

@@ -20,8 +20,8 @@ from repro.ioa.exploration import (
     ExplorationCapacityError,
     explore_station_states,
 )
+from repro.checker import checker_checkpoint_key
 from repro.ioa.exploration_parallel import (
-    checkpoint_key,
     checkpoint_path,
     explore_station_states_parallel,
 )
@@ -48,7 +48,10 @@ def run_checkpointed(ckpt_dir, **kwargs):
 
 def checkpoint_file(ckpt_dir):
     sender, receiver = make_sequence_protocol()
-    key = checkpoint_key(sender, receiver, ["m"], 2, 1, "in-process")
+    key = checker_checkpoint_key(
+        sender, receiver, ["m"], 2, 1, "in-process",
+        None, False, 0, None, "memory",
+    )
     return checkpoint_path(ckpt_dir, key)
 
 

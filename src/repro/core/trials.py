@@ -319,6 +319,58 @@ class ProbabilisticTrialEngine:
             if deliveries or outgoing:
                 pump_receiver()
 
+        # Steady flood.  Every step ends with both receiver queues and
+        # both due lists empty (each receipt is pumped, each send
+        # flushed, inside the step).  From there a sender whose offer
+        # is fixed and whose commit only counts re-offers one value v
+        # every step, and while the receiver promises its next copies
+        # of v are silent nothing else moves.  Such a stretch is
+        # fast-forwarded in one block: the same t2r coins, drawn one
+        # per step from the same rng, then the counters applied
+        # arithmetically.  Table kernels expose neither hook and never
+        # take this path.
+        silent_receipts = getattr(rcv, "silent_receipts", None)
+        commit_many = getattr(snd, "commit_many", None)
+        flood = silent_receipts is not None and commit_many is not None
+        if flood:
+            absorb_receipts = rcv.absorb_receipts
+
+        def flood_block(limit: int) -> int:
+            """Run up to ``limit`` steady-flood steps as one block;
+            returns the number of steps taken (0: not steady)."""
+            nonlocal length, sp_t2r, rp_t2r, peak_t2r
+            v = snd_offer()
+            if v < 0:
+                return 0
+            cap = silent_receipts(v)
+            if not cap:
+                return 0
+            # One step: send v, flip its coin, deliver it on success.
+            # The block ends at the cap-th delivery or the budget.
+            successes = last_hit = 0
+            for taken in range(1, limit + 1):
+                if t2r_rand() >= q:
+                    successes += 1
+                    last_hit = taken
+                    if successes == cap:
+                        break
+            failures = taken - successes
+            t2r.sent_total += taken
+            t2r.size += failures
+            t2r_counts[v] = t2r_counts.get(v, 0) + failures
+            length += taken + successes
+            sp_t2r += taken
+            rp_t2r += successes
+            # Outstanding never drops within a block, so its peak is
+            # at the last send, before that copy's own delivery.
+            outstanding = sp_t2r - rp_t2r + (last_hit == taken)
+            if outstanding > peak_t2r:
+                peak_t2r = outstanding
+            commit_many(taken)
+            if successes:
+                absorb_receipts(v, successes)
+            return taken
+
         def run_one(budget: int) -> Tuple[int, bool]:
             # DataLinkSystem.run([message], max_steps=budget).  The
             # local ``rm`` counter tracks the kernel's
@@ -336,6 +388,13 @@ class ProbabilisticTrialEngine:
                     pending = False
                 if not pending and rm >= goal and snd_ready():
                     break
+                if flood:
+                    # A block leaves the sender's state, rm and pending
+                    # as they were, so the two tests above still hold.
+                    taken = flood_block(budget - steps)
+                    if taken:
+                        steps += taken
+                        continue
                 step()
                 steps += 1
             completed = not pending and rm >= goal and snd_ready()

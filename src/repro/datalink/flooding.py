@@ -54,7 +54,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, Optional, Tuple
 
 from repro.channels.packets import Packet
-from repro.datalink.stations import ReceiverStation, SenderStation
+from repro.datalink.stations import UNBOUNDED, ReceiverStation, SenderStation
 from repro.ioa.actions import Direction
 
 DATA = "DATA"
@@ -225,6 +225,27 @@ class FloodingReceiver(ReceiverStation):
             # A duplicate of the message we already accepted: its acks
             # may all have been lost or delayed, so ack again.
             self.queue_packet(ack_packet(phase))
+
+    def silent_receipts(self, packet: Packet) -> float:
+        # Mirrors on_packet: awaited-phase copies only count until one
+        # body passes the threshold, a previous-phase copy is acked,
+        # anything else is ignored.
+        kind, phase = packet.header
+        if kind != DATA:
+            return UNBOUNDED
+        if phase == self.awaited_phase:
+            return max(
+                0, self._data_threshold - self._counts.get(packet.body, 0)
+            )
+        if self._awaiting > 0 and phase == (self._awaiting - 1) % self.phases:
+            return 0
+        return UNBOUNDED
+
+    def absorb_receipts(self, packet: Packet, k: int) -> None:
+        if k > self.silent_receipts(packet):
+            super().absorb_receipts(packet, k)
+        elif k > 0 and packet.header == (DATA, self.awaited_phase):
+            self._counts[packet.body] = self._counts.get(packet.body, 0) + k
 
     def _accept(self, body: Hashable) -> None:
         accepted_phase = self.awaited_phase

@@ -42,6 +42,10 @@ from repro.ioa.automaton import IOAutomaton
 #: ``None`` is a perfectly legal message payload.
 NO_OUTPUT = object()
 
+#: :meth:`ReceiverStation.silent_receipts` value for a packet the
+#: station ignores outright: any number of copies is silent.
+UNBOUNDED = float("inf")
+
 
 class SenderStation(IOAutomaton):
     """Base class for the transmitting-station automaton ``A^t``.
@@ -259,6 +263,27 @@ class ReceiverStation(IOAutomaton):
     def accept_packet(self, packet: Packet) -> None:
         """A ``receive_pkt^{t->r}`` input was delivered to the station."""
         self.on_packet(packet)
+
+    def silent_receipts(self, packet: Packet) -> float:
+        """How many copies of ``packet`` in a row the station would
+        absorb *silently*: no output queued and no oracle read, so the
+        only effect is the state change :meth:`absorb_receipts` makes.
+
+        The batch trial engine uses this promise to deliver a run of
+        copies at once (:mod:`repro.core.trials`).  Default: 0, no
+        promise.  :data:`UNBOUNDED` marks a packet that is ignored.
+        """
+        return 0
+
+    def absorb_receipts(self, packet: Packet, k: int) -> None:
+        """Deliver ``k`` copies of ``packet``.
+
+        The reference is ``k`` calls of :meth:`accept_packet`; an
+        override may do the same work in O(1) for any ``k`` up to
+        :meth:`silent_receipts`.
+        """
+        for _ in range(k):
+            self.accept_packet(packet)
 
     # ------------------------------------------------------------------
     # protocol hooks

@@ -79,6 +79,7 @@ def _ablation_phase_count(result: ExperimentResult, fast: bool, seed: int):
             report.violations[0].event_index if report.violations else -1
         )
         result.metrics[f"K{phases}_monitored_steps"] = stats.steps
+        result.metrics[f"K{phases}_trial_steps"] = run_result.steps
         xs = [float(i) for i in range(1, run_result.delivered + 1)]
         if run_result.delivered >= 3:
             kind, value = classify_growth(

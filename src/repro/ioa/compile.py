@@ -709,6 +709,10 @@ class InterpretedSender:
     oracle-reading station with stock plumbing -- the flooding
     protocol -- gets every specialisation even though it can never be
     table-compiled.
+
+    ``commit_many(k)`` -- ``k`` commits at once -- is set only when
+    ``offer`` and ``commit`` are both the stock bodies, so an offer has
+    no side effects and a commit only counts; otherwise it is ``None``.
     """
 
     kind = "interpreted"
@@ -716,6 +720,7 @@ class InterpretedSender:
     __slots__ = (
         "station", "values",
         "ready", "accept_message", "accept_packet", "offer", "commit",
+        "commit_many",
     )
 
     def __init__(self, station, values: ValueIntern, oracle=None) -> None:
@@ -754,6 +759,7 @@ class InterpretedSender:
 
         offered = _SENTINEL
         offered_vid = NO_VALUE
+        commit_many: Optional[Callable[[int], None]] = None
 
         if cls.offer_packet is SenderStation.offer_packet:
             # Base body: ``return self.current_packet``.
@@ -786,6 +792,12 @@ class InterpretedSender:
             if cls.on_packet_sent is SenderStation.on_packet_sent:
                 def commit() -> None:
                     station.packets_sent += 1
+
+                if cls.offer_packet is SenderStation.offer_packet:
+                    def count_commits(k: int) -> None:
+                        station.packets_sent += k
+
+                    commit_many = count_commits
             else:
                 on_packet_sent = station.on_packet_sent
 
@@ -802,6 +814,7 @@ class InterpretedSender:
         self.accept_packet = accept_packet
         self.offer = offer
         self.commit = commit
+        self.commit_many = commit_many
 
     @property
     def packets_sent(self) -> int:
@@ -834,6 +847,11 @@ class InterpretedReceiver:
     so engines can test emptiness without any call, and the pop
     closures drain those deques directly -- performing the base
     bodies' popleft-and-count inline.
+
+    With those stock queues and a stock ``accept_packet``, a station
+    that overrides :meth:`~repro.datalink.stations.ReceiverStation.silent_receipts`
+    gets ``silent_receipts``/``absorb_receipts`` in value-id space;
+    otherwise both are ``None``.
     """
 
     kind = "interpreted"
@@ -841,6 +859,7 @@ class InterpretedReceiver:
     __slots__ = (
         "station", "values", "queues",
         "accept", "has_pending", "pop_delivery", "pop_control",
+        "silent_receipts", "absorb_receipts",
     )
 
     def __init__(self, station, values: ValueIntern, oracle=None) -> None:
@@ -931,9 +950,29 @@ class InterpretedReceiver:
                     last_packet_vid = intern(packet)
                 return last_packet_vid
 
+        silent_receipts: Optional[Callable[[int], float]] = None
+        absorb_receipts: Optional[Callable[[int, int], None]] = None
+        if (
+            stock_queues
+            and cls.accept_packet is ReceiverStation.accept_packet
+            and cls.silent_receipts is not ReceiverStation.silent_receipts
+        ):
+            silent = station.silent_receipts
+            absorb = station.absorb_receipts
+
+            def silent_vid(vid: int) -> float:
+                return silent(vals[vid])
+
+            def absorb_vid(vid: int, k: int) -> None:
+                absorb(vals[vid], k)
+
+            silent_receipts, absorb_receipts = silent_vid, absorb_vid
+
         self.accept = accept
         self.pop_delivery = pop_delivery
         self.pop_control = pop_control
+        self.silent_receipts = silent_receipts
+        self.absorb_receipts = absorb_receipts
 
     @property
     def messages_delivered(self) -> int:

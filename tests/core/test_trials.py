@@ -19,7 +19,11 @@ from repro.core.theorem41 import plant_backlog, probe_backlog_cost
 from repro.core.theorem51 import run_probabilistic_delivery
 from repro.core.trials import probabilistic_batch_supported, run_probabilistic_trials
 from repro.datalink.alternating_bit import make_alternating_bit
-from repro.datalink.flooding import make_capacity_flooding, make_flooding
+from repro.datalink.flooding import (
+    FloodingReceiver,
+    make_capacity_flooding,
+    make_flooding,
+)
 from repro.datalink.gobackn import make_gobackn
 from repro.datalink.sequence import make_sequence_protocol
 from repro.ioa.execution import TraceMode
@@ -81,6 +85,64 @@ def test_metrics_sink_counters_match_interpreted():
         engine="batch", sinks=[sink_b],
     )
     assert sink_b.snapshot() == sink_i.snapshot()
+
+
+# ---------------------------------------------------------------------------
+# Steady-flood blocks
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def absorbed_blocks(monkeypatch):
+    """The ``k`` of every block the batch engine hands the flooding
+    receiver, to show that a pin below really runs blocks."""
+    blocks = []
+    absorb = FloodingReceiver.absorb_receipts
+
+    def recording(self, packet, k):
+        blocks.append(k)
+        absorb(self, packet, k)
+
+    monkeypatch.setattr(FloodingReceiver, "absorb_receipts", recording)
+    return blocks
+
+
+def test_flood_block_cut_by_max_steps_is_bit_identical(absorbed_blocks):
+    # K=1 never finishes 30 messages in 20k steps: the budget runs
+    # out in the middle of a block of silent copies, and the sinks'
+    # outstanding peak depends on that block's last coin.
+    common = dict(q=0.3, n=30, seed=0, max_steps=20_000)
+    pair = lambda: make_flooding(1)
+    sink_i = MetricsSink(count_steps=False)
+    sink_b = MetricsSink(count_steps=False)
+    interpreted = run_probabilistic_delivery(
+        pair, engine="interpreted", sinks=[sink_i], **common
+    )
+    absorbed_blocks.clear()
+    batch = run_probabilistic_delivery(
+        pair, engine="batch", sinks=[sink_b], **common
+    )
+    assert dataclasses.asdict(batch) == dataclasses.asdict(interpreted)
+    assert sink_b.snapshot() == sink_i.snapshot()
+    assert batch.steps == 20_000 and not batch.completed
+    assert max(absorbed_blocks) > 1000
+
+
+def test_flood_blocks_keep_metrics_sink_snapshots(absorbed_blocks):
+    common = dict(q=0.5, n=20, seed=1)
+    pair = lambda: make_flooding(3)
+    sink_i = MetricsSink(count_steps=False)
+    sink_b = MetricsSink(count_steps=False)
+    interpreted = run_probabilistic_delivery(
+        pair, engine="interpreted", sinks=[sink_i], **common
+    )
+    absorbed_blocks.clear()
+    batch = run_probabilistic_delivery(
+        pair, engine="batch", sinks=[sink_b], **common
+    )
+    assert dataclasses.asdict(batch) == dataclasses.asdict(interpreted)
+    assert sink_b.snapshot() == sink_i.snapshot()
+    assert batch.completed and max(absorbed_blocks) > 1
 
 
 def test_engine_rejects_unknown_name():

@@ -21,7 +21,7 @@ from repro.datalink.flooding import (
     make_capacity_flooding,
     make_flooding,
 )
-from repro.datalink.spec import check_execution
+from repro.datalink.spec import SpecMonitorSink, check_execution
 from repro.datalink.system import make_system
 from repro.ioa.actions import Direction
 
@@ -125,10 +125,21 @@ class TestK1IsBroken:
     """The induction needs K >= 2; K = 1 must actually fail."""
 
     def test_k1_violates_dl1_under_loss(self):
-        system = make_system(*make_flooding(1), q=0.4, seed=3)
-        system.run(["m"] * 25, max_steps=300_000)
+        # A stopping monitor ends the FULL run at the first violation;
+        # the post-hoc check of the halted trace must find it too.
+        monitor = SpecMonitorSink(stop_on_violation=True)
+        system = make_system(
+            *make_flooding(1), q=0.4, seed=3, sinks=[monitor]
+        )
+        stats = system.run(["m"] * 25, max_steps=300_000)
+        online = monitor.report()
         report = check_execution(system.execution)
+        assert not stats.completed
+        assert not online.ok
         assert not report.ok
+        first = min(report.violations, key=lambda v: v.event_index)
+        assert online.violations[0].event_index == first.event_index
+        assert system.execution.length == first.event_index + 1
 
 
 class TestCapacityVariant:

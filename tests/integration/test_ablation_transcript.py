@@ -105,12 +105,16 @@ def test_monitor_outcome_per_k(ablation):
     assert sorted(result.metrics) == sorted(
         f"K{k}_{name}"
         for k in phases
-        for name in ("first_violation_event", "monitored_steps")
+        for name in ("first_violation_event", "monitored_steps", "trial_steps")
     )
     # K=1 breaks (DL1) at event 7 and the monitor ends the rerun in
     # its second engine step instead of at the 500k-step cap.
     assert result.metrics["K1_first_violation_event"] == 7
     assert result.metrics["K1_monitored_steps"] < 10
+    # The Theorem 5.1 trial itself: K=1 livelocks to the 2M-step
+    # default cap, every safe K finishes well inside it.
+    assert result.metrics["K1_trial_steps"] == 2_000_000
     for k in phases[1:]:
         assert result.metrics[f"K{k}_first_violation_event"] == -1
         assert 0 < result.metrics[f"K{k}_monitored_steps"] < 500_000
+        assert 0 < result.metrics[f"K{k}_trial_steps"] < 2_000_000

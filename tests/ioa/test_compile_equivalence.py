@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.channels.packets import Packet
 from repro.datalink.alternating_bit import (
     AlternatingBitReceiver,
     AlternatingBitSender,
@@ -54,7 +55,7 @@ from repro.datalink.sequence_mod import (
     ModularSequenceSender,
     make_modular_sequence,
 )
-from repro.datalink.stations import ReceiverStation, SenderStation
+from repro.datalink.stations import NO_OUTPUT, ReceiverStation, SenderStation
 from repro.datalink.window import WindowReceiver, WindowSender, make_window_protocol
 from repro.ioa.actions import Direction
 from repro.ioa.compile import NO_VALUE, PoolOracle, ValueIntern, compile_automaton
@@ -231,8 +232,6 @@ def drive_stations(factory, seed, steps):
 
 def drive_kernels(factory, seed, steps):
     """The same schedule through ``compile_automaton`` kernels."""
-    from repro.datalink.stations import NO_OUTPUT
-
     sender, receiver = factory()
     values = ValueIntern()
     pools = {Direction.T2R: _Pool(), Direction.R2T: _Pool()}
@@ -308,6 +307,68 @@ def test_kernel_matches_station(name, factory, seed, steps):
     reference = drive_stations(factory, seed, steps)
     kernel = drive_kernels(factory, seed, steps)
     assert kernel == reference
+
+
+# Receivers that promise silent receipts (the batch engine's
+# steady-flood blocks rely on the promise being exact).
+SILENT_RECEIVERS = {FloodingReceiver}
+SILENT_CASES = [
+    (name, factory)
+    for name, factory in CASES
+    if type(factory()[1]) in SILENT_RECEIVERS
+]
+
+
+def test_every_silent_receipt_override_is_covered():
+    overriding = {
+        cls
+        for cls in all_subclasses(ReceiverStation)
+        if cls.silent_receipts is not ReceiverStation.silent_receipts
+    }
+    assert overriding == SILENT_RECEIVERS
+    assert {type(factory()[1]) for _, factory in SILENT_CASES} == overriding
+
+
+@pytest.mark.parametrize(
+    "name, factory", SILENT_CASES, ids=[name for name, _ in SILENT_CASES]
+)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       steps=st.integers(min_value=0, max_value=80),
+       pick=st.integers(min_value=0, max_value=2**16),
+       k=st.integers(min_value=0, max_value=40))
+@settings(max_examples=40, deadline=None)
+def test_absorb_receipts_matches_repeated_accept(name, factory, seed, steps,
+                                                 pick, k):
+    """``absorb_receipts(p, k)`` == ``k`` x ``accept_packet(p)`` from a
+    reachable state, and queues no output while ``k`` is within
+    ``silent_receipts(p)``."""
+    made = []
+
+    def recording_factory():
+        made.append(factory())
+        return made[-1]
+
+    trajectory = drive_stations(recording_factory, seed, steps)
+    sender, receiver = made[0]
+    while receiver.has_pending_output():
+        if receiver.pop_delivery() is NO_OUTPUT:
+            receiver.pop_control_packet()
+    packets = [out for _, out, *_ in trajectory if isinstance(out, Packet)]
+    if sender.offer_packet() is not None:
+        packets.append(sender.offer_packet())
+    if not packets:
+        return
+    packet = packets[pick % len(packets)]
+    reference = factory()[1]
+    reference.restore(receiver.snapshot())
+    reference.oracle = receiver.oracle
+    silent = receiver.silent_receipts(packet)
+    receiver.absorb_receipts(packet, k)
+    for _ in range(k):
+        reference.accept_packet(packet)
+    assert receiver.snapshot() == reference.snapshot()
+    if k <= silent:
+        assert not reference.has_pending_output()
 
 
 @pytest.mark.parametrize("name, factory", CASES, ids=CASE_IDS)
